@@ -45,12 +45,12 @@ SWEEP_PUS = {"fig3_sweep": 0, "fig2_sweep_pu": 2}
 TARGETS_DB = (5.0, 10.0, 15.0, 20.0, 25.0)
 N_VALUES = (5, 10, 15)
 #: Monte-Carlo runs per grid-point operation: room for a run-batched kernel.
-RUNS_PER_POINT = 100
+RUNS_PER_POINT = 50
 #: Reference Monte-Carlo rows per grid point, drawn after timing.
 REFERENCE_ROWS = 10_000
 #: Scenario mix of alloc_hetero: user counts 5..30 and 0..2 PUs cycle
 #: together (26 and 3 are coprime), so every 78 scenarios hold each pair once.
-ALLOC_SCENARIOS = 780
+ALLOC_SCENARIOS = 390
 ALLOC_USERS = tuple(range(5, 31))
 ALLOC_PUS = (0, 1, 2)
 THRESHOLD_CLASSES_DB = (0.0, 3.0, 6.0, 10.0)
@@ -58,9 +58,11 @@ SOLVERS = ("bisection", "waterfill")
 #: Experiment id handed to run_seed for alloc_hetero draws; the package's
 #: own experiments use 2, 3 and 4.
 ALLOC_EXPERIMENT_ID = 7
-#: Set-up trials before and after the timed rounds; the host changes speed
-#: over tens of seconds, so trials at both ends keep their median steadier.
-SETUP_TRIALS = (3, 2)
+#: Set-up trials per untraced run, spread evenly over the timed window. The
+#: host changes speed over tens of seconds; the best of trials taken across
+#: the whole window, like the best time of each timed operation, keeps a
+#: slow stretch out of the figure.
+SETUP_TRIALS = 12
 
 END_TO_END_UNITS = {
     "runs_per_s": "1/s", "allocs_per_s": "1/s", "alloc_p50_us": "us",
@@ -108,12 +110,22 @@ MONTECARLO_SPANS = {
     "db_to_linear": "units", "dbm_to_watts": "units", "linear_to_db": "units",
 }
 DRAW_SPANS = ("run_seed", "draw_scenario", "sort_users", "db_to_linear", "dbm_to_watts")
+#: Names that pipeline looks up at call time, and the layer each is timed as.
+PIPELINE_SPANS = {"power_budget": "power_budget", "admit": "admit",
+                  "solve_bisection": "bisection", "solve_waterfill": "waterfill"}
 
 
-def montecarlo_patches(mc, tracer, names):
-    """Span wrappers for those of ``names`` that ``mc`` still defines."""
-    return [(mc, attr, tracer.span(MONTECARLO_SPANS[attr], vars(mc)[attr]))
-            for attr in names if attr in vars(mc)]
+def module_patches(module, tracer, spans, names):
+    """Span wrappers for those of ``names`` that ``module`` still defines."""
+    return [(module, attr, tracer.span(spans[attr], vars(module)[attr]))
+            for attr in names if attr in vars(module)]
+
+
+def scenario_patches(nc, tracer):
+    """Span around ``Scenario.prefix`` and a count of ``Scenario`` validations."""
+    scenario = nc.Scenario
+    return [(scenario, "prefix", tracer.span("prefix", scenario.prefix)),
+            (scenario, "__post_init__", tracer.counter("scenarios", scenario.__post_init__))]
 
 
 def derived_seed(*entropy: int) -> int:
@@ -125,7 +137,7 @@ def derived_seed(*entropy: int) -> int:
 class Sweep:
     """fig3_sweep / fig2_sweep_pu. One operation is one grid-point call."""
 
-    def __init__(self, nc, name: str, seed: int):
+    def __init__(self, nc, name: str, seed: int, tracer=None):
         self.nc = nc
         self.seed = seed
         self.phase2 = name == "fig3_sweep"
@@ -133,6 +145,18 @@ class Sweep:
         self.driver = nc.run_fig3 if self.phase2 else nc.run_fig2
         self.model = nc.ChannelModel(num_sus=N_VALUES[0], num_pus=self.n_pus)
         self.grid = [(t, n) for t in TARGETS_DB for n in N_VALUES]
+        self.tracer = tracer
+        if tracer:
+            self.patches = (module_patches(nc.montecarlo, tracer, MONTECARLO_SPANS,
+                                           MONTECARLO_SPANS) + scenario_patches(nc, tracer))
+        self.tallies = [PointTally(t, n) for t, n in self.grid]
+        self.failures, self.errors = [], []
+        self.attempted = self.failed = 0
+        # Per grid point, its best seconds over the rounds, untraced and traced.
+        self.best = [math.inf] * len(self.grid)
+        self.traced_best = [math.inf] * len(self.grid)
+        self.traced_runs = 0
+        self.driver_self = 0.0
 
     def warm_up(self) -> None:
         for n in N_VALUES:
@@ -154,75 +178,56 @@ class Sweep:
             ops.append((out, perf_counter() - t0))
         return ops
 
-    def trace_patches(self, tracer):
-        patches = montecarlo_patches(self.nc.montecarlo, tracer, MONTECARLO_SPANS)
-        scenario = self.nc.Scenario
-        patches.append((scenario, "prefix", tracer.span("prefix", scenario.prefix)))
-        patches.append((scenario, "__post_init__",
-                        tracer.counter("scenarios", scenario.__post_init__)))
-        return patches
+    def run_round(self, pass_index: int) -> None:
+        ops = self.run_pass(pass_index)
+        for g, ((out, op_s), (target, n)) in enumerate(zip(ops, self.grid)):
+            self.attempted += 1
+            if isinstance(out, Exception):
+                self.failed += 1
+                self.errors.append(f"grid point {target:g} dB, N={n}: {out!r}")
+                continue
+            self.best[g] = min(self.best[g], op_s)
+            self.failures += check_sweep_stats(out, target, n, RUNS_PER_POINT, self.phase2)
+            self.tallies[g].add(out)
+        if not self.tracer:
+            return
+        # The same pass again, traced: same seeds, so same outputs.
+        top_before = self.tracer.top_level
+        with patched(self.patches):
+            traced_ops = self.run_pass(pass_index)
+        self.attempted += len(traced_ops)
+        for g, ((out, op_s), (plain, _)) in enumerate(zip(traced_ops, ops)):
+            target, n = self.grid[g]
+            if isinstance(out, Exception):
+                self.failed += 1
+                self.errors.append(f"traced grid point {target:g} dB, N={n}: {out!r}")
+                continue
+            if not isinstance(plain, Exception) and out != plain:
+                self.failures.append(f"grid point {target:g} dB, N={n}: traced output differs")
+            self.traced_best[g] = min(self.traced_best[g], op_s)
+            self.traced_runs += RUNS_PER_POINT
+            self.driver_self += op_s
+        self.driver_self -= self.tracer.top_level - top_before
 
-    def measure(self, seconds: float, tracer=None) -> dict:
-        tallies = [PointTally(t, n) for t, n in self.grid]
-        failures, errors = [], []
-        best = [math.inf] * len(self.grid)
-        attempted = failed = 0
-        traced = {"best": [math.inf] * len(self.grid), "runs": 0, "driver_self": 0.0}
-        patches = self.trace_patches(tracer) if tracer else None
-        start = perf_counter()
-        pass_index = 0
-        while pass_index == 0 or perf_counter() - start < seconds:
-            ops = self.run_pass(pass_index)
-            for g, ((out, op_s), (target, n)) in enumerate(zip(ops, self.grid)):
-                attempted += 1
-                if isinstance(out, Exception):
-                    failed += 1
-                    errors.append(f"grid point {target:g} dB, N={n}: {out!r}")
-                    continue
-                best[g] = min(best[g], op_s)
-                failures += check_sweep_stats(out, target, n, RUNS_PER_POINT, self.phase2)
-                tallies[g].add(out)
-            if tracer:
-                # The same pass again, traced: same seeds, so same outputs.
-                top_before = tracer.top_level
-                with patched(patches):
-                    traced_ops = self.run_pass(pass_index)
-                attempted += len(traced_ops)
-                for g, ((out, op_s), (plain, _)) in enumerate(zip(traced_ops, ops)):
-                    target, n = self.grid[g]
-                    if isinstance(out, Exception):
-                        failed += 1
-                        errors.append(f"traced grid point {target:g} dB, N={n}: {out!r}")
-                        continue
-                    if not isinstance(plain, Exception) and out != plain:
-                        failures.append(f"grid point {target:g} dB, N={n}: traced output differs")
-                    traced["best"][g] = min(traced["best"][g], op_s)
-                    traced["runs"] += RUNS_PER_POINT
-                    traced["driver_self"] += op_s
-                traced["driver_self"] -= tracer.top_level - top_before
-            pass_index += 1
-        return {"tallies": tallies, "failures": failures, "errors": errors,
-                "attempted": attempted, "failed": failed, "rounds": pass_index,
-                "best": best, "traced": traced}
-
-    def end_to_end(self, m: dict) -> dict:
-        per_run_us = 1e6 / RUNS_PER_POINT * np.array([b for b in m["best"] if b < math.inf])
+    def end_to_end(self) -> dict:
+        per_run_us = 1e6 / RUNS_PER_POINT * np.array([b for b in self.best if b < math.inf])
         if not per_run_us.size:
             return dict.fromkeys(("runs_per_s", "allocs_per_s", "alloc_p50_us", "alloc_p90_us"), 0.0)
         runs_per_s = 1e6 * per_run_us.size / per_run_us.sum()
+        # Over the 15 grid points' best per-run times: the grid's make-up,
+        # not a latency, since one run has no untraced timing of its own.
         p50, p90 = np.percentile(per_run_us, [50, 90])
         # Each Monte-Carlo run makes exactly one two-phase allocation.
         return {"runs_per_s": runs_per_s, "allocs_per_s": runs_per_s,
                 "alloc_p50_us": float(p50), "alloc_p90_us": float(p90)}
 
-    def per_layer(self, m: dict, tracer) -> dict:
-        tr = m["traced"]
-        runs = tr["runs"]
-        admitted = sum(t.admitted for t in m["tallies"]) / sum(t.runs for t in m["tallies"])
+    def per_layer(self) -> dict:
+        tracer, runs = self.tracer, self.traced_runs
+        admitted = sum(t.admitted for t in self.tallies) / sum(t.runs for t in self.tallies)
         return {
             "montecarlo.run_seed_us": tracer.per_call_us("run_seed"),
             "montecarlo.draw_us": tracer.per_call_us("draw", self_only=True),
-            "montecarlo.driver_self_us": 1e6 * tr["driver_self"] / runs,
+            "montecarlo.driver_self_us": 1e6 * self.driver_self / runs,
             "model.sort_users_us": tracer.per_call_us("sort_users"),
             "model.prefix_us": tracer.per_call_us("prefix"),
             "model.power_budget_us": tracer.per_call_us("power_budget"),
@@ -235,13 +240,13 @@ class Sweep:
             "units.conversion_us": tracer.per_call_us("units"),
             "pipeline.self_us": 0.0,
             "bench.trace_overhead_us": 1e6 / RUNS_PER_POINT * statistics.mean(
-                t - u for t, u in zip(tr["best"], m["best"])),
+                t - u for t, u in zip(self.traced_best, self.best)),
         }
 
-    def check(self, m: dict) -> tuple[list[str], list]:
+    def check(self) -> tuple[list[str], list]:
         failures, refs = [], []
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1 + self.n_pus, 99]))
-        for tally in m["tallies"]:
+        for tally in self.tallies:
             if tally.runs == 0:
                 continue
             found, ref = check_sweep_against_reference(tally, self.n_pus, self.phase2, rng,
@@ -261,12 +266,13 @@ class AllocHetero:
     def __init__(self, nc, seed: int, tracer=None):
         self.nc = nc
         self.seed = seed
+        self.tracer = tracer
         rng = np.random.default_rng(np.random.SeedSequence([seed, ALLOC_EXPERIMENT_ID]))
         mc = nc.montecarlo
         # Draws happen in set-up, so set-up is where they are traced.
-        patches = montecarlo_patches(mc, tracer, DRAW_SPANS) if tracer else []
+        draw_patches = module_patches(mc, tracer, MONTECARLO_SPANS, DRAW_SPANS) if tracer else []
         self.scenarios = []
-        with patched(patches):
+        with patched(draw_patches):
             for i in range(ALLOC_SCENARIOS):
                 n = ALLOC_USERS[i % len(ALLOC_USERS)]
                 model = nc.ChannelModel(num_sus=n, num_pus=ALLOC_PUS[i % len(ALLOC_PUS)])
@@ -274,14 +280,32 @@ class AllocHetero:
                 seed_i = mc.run_seed(seed, ALLOC_EXPERIMENT_ID, i)
                 self.scenarios.append(mc.draw_scenario(model, seed_i, thresholds_db))
         self.tasks = [(s, solver) for s in self.scenarios for solver in SOLVERS]
+        if tracer:
+            pipeline = nc.pipeline
+            self.patches = (module_patches(pipeline, tracer, PIPELINE_SPANS, PIPELINE_SPANS)
+                            + scenario_patches(nc, tracer))
+            if "_SOLVERS" in vars(pipeline):
+                # run_two_phase picks its solver from this table, which holds
+                # the functions themselves, not their module names.
+                solvers = {name: tracer.span(name, fn) for name, fn in pipeline._SOLVERS.items()}
+                self.patches.append((pipeline, "_SOLVERS", solvers))
+            self.traced_call = tracer.span("pipeline", nc.run_two_phase)
+        self.failures, self.errors = [], []
+        self.attempted = self.failed = 0
+        self.first = None
+        self.latencies = np.empty(len(self.tasks))
+        # Per task, its best seconds over the rounds, untraced and traced.
+        self.best = np.full(len(self.tasks), math.inf)
+        self.traced_best = np.full(len(self.tasks), math.inf)
+        # Best per-round percentiles of the untraced call latencies.
+        self.p50 = self.p90 = math.inf
 
     def warm_up(self) -> None:
         for scenario, solver in self.tasks[:156]:
             _quietly(self.nc.run_two_phase, scenario, solver=solver)
 
-    def run_round(self, latencies):
-        """Every task once; its seconds go to ``latencies`` (inf if it failed)."""
-        run_two_phase = self.nc.run_two_phase
+    def run_tasks(self, run_two_phase):
+        """Every task once; its seconds go to ``self.latencies`` (inf if it failed)."""
         results = []
         for i, (scenario, solver) in enumerate(self.tasks):
             t0 = perf_counter()
@@ -290,114 +314,56 @@ class AllocHetero:
             except Exception as exc:  # counted as a failed operation
                 out = exc
                 t0 = -math.inf
-            latencies[i] = perf_counter() - t0
+            self.latencies[i] = perf_counter() - t0
             results.append(out)
         return results
 
-    def run_traced_round(self, tracer, stats):
-        """Each task three ways: run_two_phase whole, and the stages it calls,
-        in its order, once bare and once traced.
+    def _tally(self, results, label: str) -> None:
+        self.attempted += len(results)
+        for i, out in enumerate(results):
+            if isinstance(out, Exception):
+                self.failed += 1
+                self.errors.append(f"{label}task {i}: {out!r}")
+            # The first round is checked in full against the reference after
+            # timing; every later call must repeat it exactly.
+            elif (self.first is not None and not isinstance(self.first[i], Exception)
+                  and not _same(self.first[i], out)):
+                self.failures.append(f"{label}task {i}: output differs from round 1")
 
-        The order rotates so host drift spreads evenly over the three. Whole
-        minus bare is the pipeline's own time; traced minus whole is the cost
-        of tracing. Scenario validations are counted in the traced way only.
-        """
-        nc = self.nc
-        bare = (nc.power_budget, nc.admit, nc.Scenario.prefix,
-                {"bisection": nc.solve_bisection, "waterfill": nc.solve_waterfill})
-        traced = (tracer.span("power_budget", nc.power_budget), tracer.span("admit", nc.admit),
-                  tracer.span("prefix", nc.Scenario.prefix),
-                  {"bisection": tracer.span("bisection", nc.solve_bisection),
-                   "waterfill": tracer.span("waterfill", nc.solve_waterfill)})
-        count = [(nc.Scenario, "__post_init__",
-                  tracer.counter("scenarios", nc.Scenario.__post_init__))]
+    def run_round(self, index: int) -> None:
+        results = self.run_tasks(self.nc.run_two_phase)
+        np.minimum(self.best, self.latencies, out=self.best)
+        done = self.latencies[np.isfinite(self.latencies)]
+        if done.size:
+            p50, p90 = np.percentile(done, [50, 90])
+            self.p50, self.p90 = min(self.p50, p50), min(self.p90, p90)
+        self._tally(results, "")
+        if self.first is None:
+            self.first = results
+        if not self.tracer:
+            return
+        with patched(self.patches):
+            results = self.run_tasks(self.traced_call)
+        np.minimum(self.traced_best, self.latencies, out=self.traced_best)
+        self._tally(results, "traced ")
 
-        def staged(scenario, solver, stages):
-            budget_fn, admit_fn, prefix_fn, solvers = stages
-            budget = budget_fn(scenario)
-            admission = admit_fn(scenario, budget)
-            solution = None
-            if admission.admitted_count >= 1:
-                restricted = prefix_fn(scenario, admission.admitted_count)
-                solution = solvers[solver](restricted, budget, nc.DEFAULT_EPSILON)
-            return admission, solution
-
-        failures, errors = [], []
-        for i, (scenario, solver) in enumerate(self.tasks):
-            try:
-                for way in ("whole", "bare", "traced", "whole", "bare")[i % 3:][:3]:
-                    t0 = perf_counter()
-                    if way == "whole":
-                        whole = nc.run_two_phase(scenario, solver=solver)
-                    elif way == "bare":
-                        staged(scenario, solver, bare)
-                    else:
-                        with patched(count):
-                            admission, solution = staged(scenario, solver, traced)
-                    stats[way][i] = min(stats[way][i], perf_counter() - t0)
-            except Exception as exc:  # counted as a failed operation
-                errors.append(f"traced task {i}: {exc!r}")
-                continue
-            stats["calls"] += 1
-            stats["admitted"] += admission.admitted_count
-            if solver == "bisection" and solution is not None:
-                stats["bisections"] += 1
-                stats["bisection_iterations"] += solution.iterations
-            if not _same(whole, admission, solution):
-                failures.append(f"task {i}: staged calls differ from run_two_phase")
-        return failures, errors
-
-    def measure(self, seconds: float, tracer=None) -> dict:
-        latencies = np.empty(len(self.tasks))
-        best = np.full(len(self.tasks), math.inf)
-        first = None
-        failures, errors = [], []
-        attempted = failed = 0
-        stats = dict.fromkeys(("calls", "admitted", "bisections", "bisection_iterations"), 0)
-        # Per task, the best seconds over traced rounds of each way to run it.
-        for key in ("whole", "bare", "traced"):
-            stats[key] = [math.inf] * len(self.tasks)
-        start = perf_counter()
-        rounds = 0
-        while rounds == 0 or perf_counter() - start < seconds:
-            results = self.run_round(latencies)
-            np.minimum(best, latencies, out=best)
-            rounds += 1
-            attempted += len(results)
-            ok = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
-            failed += len(results) - len(ok)
-            errors += [f"task {i}: {r!r}" for i, r in enumerate(results) if isinstance(r, Exception)]
-            if first is None:
-                first = results
-            else:
-                # Checked in full against the reference after timing; every
-                # later round must repeat it exactly.
-                failures += [f"task {i}: output differs from round 1" for i in ok
-                             if not isinstance(first[i], Exception)
-                             and not _same(first[i], results[i].admission, results[i].maxmin)]
-            if tracer:
-                traced_failures, traced_errors = self.run_traced_round(tracer, stats)
-                failures += traced_failures
-                errors += traced_errors
-                attempted += len(self.tasks)
-                failed += len(traced_errors)
-        return {"failures": failures, "errors": errors, "attempted": attempted,
-                "failed": failed, "rounds": rounds, "best": best, "traced": stats,
-                "first": first}
-
-    def end_to_end(self, m: dict) -> dict:
-        best = m["best"][np.isfinite(m["best"])]
+    def end_to_end(self) -> dict:
+        best = self.best[np.isfinite(self.best)]
         if not best.size:
             return dict.fromkeys(("runs_per_s", "allocs_per_s", "alloc_p50_us", "alloc_p90_us"), 0.0)
         allocs_per_s = best.size / best.sum()
-        p50, p90 = np.percentile(best, [50, 90])
         # A run is one scenario, solved once by each solver.
         return {"runs_per_s": allocs_per_s / len(SOLVERS), "allocs_per_s": allocs_per_s,
-                "alloc_p50_us": 1e6 * float(p50), "alloc_p90_us": 1e6 * float(p90)}
+                "alloc_p50_us": 1e6 * float(self.p50), "alloc_p90_us": 1e6 * float(self.p90)}
 
-    def per_layer(self, m: dict, tracer) -> dict:
-        st = m["traced"]
-        calls = st["calls"]
+    def per_layer(self) -> dict:
+        tracer = self.tracer
+        calls = tracer.calls["pipeline"]
+        solved = [(solver, r) for (_, solver), r in zip(self.tasks, self.first)
+                  if not isinstance(r, Exception)]
+        iterations = [r.maxmin.iterations for solver, r in solved
+                      if solver == "bisection" and r.maxmin is not None]
+        ok = np.isfinite(self.traced_best) & np.isfinite(self.best)
         return {
             "montecarlo.run_seed_us": tracer.per_call_us("run_seed"),
             "montecarlo.draw_us": tracer.per_call_us("draw", self_only=True),
@@ -407,21 +373,19 @@ class AllocHetero:
             "model.power_budget_us": tracer.per_call_us("power_budget"),
             "model.scenarios_per_op": tracer.counts["scenarios"] / calls,
             "admission.admit_us": tracer.per_call_us("admit"),
-            "admission.admitted_per_op": st["admitted"] / calls,
+            "admission.admitted_per_op": statistics.mean(
+                r.admission.admitted_count for _, r in solved),
             "maxmin.waterfill_us": tracer.per_call_us("waterfill"),
             "maxmin.bisection_us": tracer.per_call_us("bisection"),
-            "maxmin.bisection_iterations": st["bisection_iterations"] / max(st["bisections"], 1),
+            "maxmin.bisection_iterations": statistics.mean(iterations) if iterations else 0.0,
             "units.conversion_us": tracer.per_call_us("units"),
-            "pipeline.self_us": 1e6 * statistics.mean(
-                w - b for w, b in zip(st["whole"], st["bare"]) if w < math.inf),
-            "bench.trace_overhead_us": 1e6 * statistics.mean(
-                t - w for t, w in zip(st["traced"], st["whole"]) if w < math.inf),
+            "pipeline.self_us": tracer.per_call_us("pipeline", self_only=True),
+            "bench.trace_overhead_us": 1e6 * float(np.mean(self.traced_best[ok] - self.best[ok])),
         }
 
-    def check(self, m: dict) -> tuple[list[str], list]:
-
+    def check(self) -> tuple[list[str], list]:
         by_scenario = [{} for _ in self.scenarios]
-        for i, ((_, solver), result) in enumerate(zip(self.tasks, m["first"])):
+        for i, ((_, solver), result) in enumerate(zip(self.tasks, self.first)):
             if not isinstance(result, Exception):
                 by_scenario[i // len(SOLVERS)][solver] = result
         return check_allocations(self.scenarios, by_scenario, self.nc.DEFAULT_EPSILON), []
@@ -435,16 +399,16 @@ def _quietly(fn, *args, **kwargs) -> None:
         pass
 
 
-def _same(result, admission, solution) -> bool:
-    """Bitwise equality of a TwoPhaseResult with an (admission, solution) pair."""
-    if result.admission.admitted_count != admission.admitted_count:
+def _same(a, b) -> bool:
+    """Bitwise equality of two TwoPhaseResults."""
+    if a.admission.admitted_count != b.admission.admitted_count:
         return False
-    if not np.array_equal(result.admission.powers, admission.powers):
+    if not np.array_equal(a.admission.powers, b.admission.powers):
         return False
-    if (result.maxmin is None) != (solution is None):
+    if (a.maxmin is None) != (b.maxmin is None):
         return False
-    return solution is None or (result.maxmin.theta_star == solution.theta_star
-                                and np.array_equal(result.maxmin.powers, solution.powers))
+    return a.maxmin is None or (a.maxmin.theta_star == b.maxmin.theta_star
+                                and np.array_equal(a.maxmin.powers, b.maxmin.powers))
 
 
 # -------------------------------------------------------------------- main
@@ -452,30 +416,27 @@ def _same(result, admission, solution) -> bool:
 def build(nc, workload: str, seed: int, tracer=None):
     if workload == "alloc_hetero":
         return AllocHetero(nc, seed, tracer)
-    return Sweep(nc, workload, seed)
+    return Sweep(nc, workload, seed, tracer)
 
 
-def measure_setup(args, trials: int) -> list[float]:
-    """Seconds from process start to the first timed operation, per trial.
+def setup_trial(args) -> float:
+    """Seconds from spawning a fresh interpreter to its first timed operation.
 
-    Each trial is a fresh interpreter running this file with --setup-only; it
-    imports, builds the workload's inputs, warms up and prints "ready".
+    The child runs this file with --setup-only: it imports, builds the
+    workload's inputs, warms up and prints "ready".
     """
     cmd = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
            "--setup-only"]
-    times = []
-    for _ in range(trials):
-        start = perf_counter()
-        with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE) as child:
-            line = child.stdout.readline()
-            elapsed = perf_counter() - start
-            child.stdout.read()
-            code = child.wait(timeout=120)
-        if line.strip() != b"ready" or code != 0:
-            raise SystemExit(f"set-up trial failed with exit code {code}")
-        times.append(elapsed)
-    return times
+    start = perf_counter()
+    with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE) as child:
+        line = child.stdout.readline()
+        elapsed = perf_counter() - start
+        child.stdout.read()
+        code = child.wait(timeout=120)
+    if line.strip() != b"ready" or code != 0:
+        raise SystemExit(f"set-up trial failed with exit code {code}")
+    return elapsed
 
 
 def parse_args(argv):
@@ -498,7 +459,6 @@ def main(argv=None) -> int:
         workload.warm_up()
         print("ready", flush=True)
         return 0
-    setup_trials = [] if args.trace else measure_setup(args, SETUP_TRIALS[0])
     nc = import_package()
     failures = reference.self_check()
     if failures:
@@ -507,35 +467,45 @@ def main(argv=None) -> int:
     workload = build(nc, args.workload, args.seed, tracer)
     workload.warm_up()
     host_start = host_probe_us()
-    measured = workload.measure(args.seconds, tracer)
+    # Whole rounds until the window closes. In an untraced run, set-up trial
+    # k runs between rounds once k/SETUP_TRIALS of the window has passed.
+    trials_due = 0 if args.trace else SETUP_TRIALS
+    setup_trials = []
+    start = perf_counter()
+    rounds = 0
+    while rounds == 0 or perf_counter() - start < args.seconds:
+        if len(setup_trials) < trials_due and (
+                perf_counter() - start >= len(setup_trials) * args.seconds / SETUP_TRIALS):
+            setup_trials.append(setup_trial(args))
+        workload.run_round(rounds)
+        rounds += 1
+    while len(setup_trials) < trials_due:
+        setup_trials.append(setup_trial(args))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     host_end = host_probe_us()
-    if not args.trace:
-        setup_trials += measure_setup(args, SETUP_TRIALS[1])
-    check_failures, reference_points = workload.check(measured)
-    failures = measured["failures"] + check_failures
+    check_failures, reference_points = workload.check()
+    failures = workload.failures + check_failures
 
     if args.trace:
-        values = workload.per_layer(measured, tracer)
+        values = workload.per_layer()
         values["host.ref_loop_us"] = 0.5 * (host_start + host_end)
         units = PER_LAYER_UNITS
     else:
-        values = workload.end_to_end(measured)
+        values = workload.end_to_end()
         values["peak_rss_mb"] = peak_rss_mb
-        values["setup_s"] = statistics.median(setup_trials)
+        values["setup_s"] = min(setup_trials)
         units = END_TO_END_UNITS
     metrics = {name: {"value": float(values[name]), "unit": unit} for name, unit in units.items()}
-    result = {"correct": not failures, "attempted": measured["attempted"],
-              "failed": measured["failed"], "metrics": metrics}
+    result = {"correct": not failures, "attempted": workload.attempted,
+              "failed": workload.failed, "metrics": metrics}
 
-    for line in (measured["errors"] + failures)[:20]:
+    for line in (workload.errors + failures)[:20]:
         print(line, file=sys.stderr)
     os.makedirs(OUT_DIR, exist_ok=True)
     record = dict(result, workload=args.workload, seed=args.seed, seconds=args.seconds,
                   trace=args.trace, setup_trials_s=setup_trials,
-                  host_ref_loop_us={"start": host_start, "end": host_end},
-                  rounds=measured["rounds"],
-                  failures=failures[:100], errors=measured["errors"][:100],
+                  host_ref_loop_us={"start": host_start, "end": host_end}, rounds=rounds,
+                  failures=failures[:100], errors=workload.errors[:100],
                   reference=reference_points)
     if tracer:
         record["spans"] = {name: {"calls": tracer.calls[name], "total_s": tracer.total[name],
