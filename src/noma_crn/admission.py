@@ -6,10 +6,11 @@ power that pins its SINR to its threshold given what was already allocated,
     P_n = Gamma_n * sum_{j<n} P_j + Gamma_n * N_n / G_n,
 
 as long as that fits in the remaining budget; the first user that does not fit
-ends the pass and every later user receives zero power. For identical
-thresholds and a common noise level this prefix rule admits the maximum
-possible number of users (see :mod:`noma_crn.oracle` for the exhaustive
-cross-check); with unequal thresholds it is a heuristic.
+ends the pass and every later user receives zero power. This is one budgeted
+walk of the equality allocation in :mod:`noma_crn.model`, the same walk that
+prices phase 2. For identical thresholds and a common noise level this prefix
+rule admits the maximum possible number of users (see :mod:`noma_crn.oracle`
+for the exhaustive cross-check); with unequal thresholds it is a heuristic.
 """
 
 from __future__ import annotations
@@ -18,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, _check_budget, _equality_walk
 
 __all__ = ["AdmissionResult", "admit", "required_prefix_power"]
-
-
-def _required_power(threshold: float, allocated: float, noise_over_gain: float) -> float:
-    # Equality allocation: SINR lands exactly on the threshold.
-    return threshold * allocated + threshold * noise_over_gain
 
 
 @dataclass(frozen=True)
@@ -60,18 +56,9 @@ def admit(scenario: Scenario, budget: float) -> AdmissionResult:
     admitted set is always feasible there and ``remaining_power`` is never
     negative.
     """
-    if not (np.isfinite(budget) and budget > 0.0):
-        raise ValueError("budget must be strictly positive and finite")
-    thresholds = scenario.su_thresholds
-    over_gain = scenario.noise_over_gain
-    allocated = 0.0
-    powers: list[float] = []
-    for n in range(scenario.n_sus):
-        required = _required_power(float(thresholds[n]), allocated, float(over_gain[n]))
-        if allocated + required > budget:
-            break
-        powers.append(required)
-        allocated += required
+    _check_budget(budget)
+    powers, allocated = _equality_walk(scenario.su_thresholds.tolist(),
+                                       scenario.noise_over_gain.tolist(), budget)
     return AdmissionResult(
         admitted_count=len(powers),
         powers=np.asarray(powers, dtype=float),
@@ -88,9 +75,6 @@ def required_prefix_power(scenario: Scenario, k: int) -> float:
     """
     if not 1 <= k <= scenario.n_sus:
         raise ValueError(f"k must be in 1..{scenario.n_sus}, got {k}")
-    thresholds = scenario.su_thresholds
-    over_gain = scenario.noise_over_gain
-    total = 0.0
-    for n in range(k):
-        total += _required_power(float(thresholds[n]), total, float(over_gain[n]))
+    _, total = _equality_walk(scenario.su_thresholds[:k].tolist(),
+                              scenario.noise_over_gain[:k].tolist())
     return total

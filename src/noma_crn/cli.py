@@ -20,7 +20,8 @@ and LF line endings; identical configs (including seed) produce byte-identical
 files.
 
 Each option is one row of ``_OPTIONS``: its flag, config key, check, default
-and the subcommands that accept it. A ``--config file.json`` may supply any
+and the subcommands that accept it (for ``simulate``, the experiments that
+read it; the others refuse it). A ``--config file.json`` may supply any
 long-option value by name (``grid_points`` for ``--grid-points``); explicit
 flags win over the file, and the file over the ``NOMA_CRN_SEED`` environment
 variable, which overrides the default seed. Config values pass the same
@@ -69,7 +70,7 @@ SEED_ENV_VAR = "NOMA_CRN_SEED"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Checked option values for one subcommand; options it does not accept are None."""
+    """Checked option values; options the subcommand or experiment does not read are None."""
 
     command: str
     scenario: str | None
@@ -217,8 +218,9 @@ def _db_range(value) -> tuple[float, float]:
 class _Option:
     """One option: flag ``--a-b``, config key and RunConfig field ``a_b``.
 
-    ``default`` may be a function of the command; ``env`` names an environment
-    variable read after the flag and the config file.
+    ``commands`` names subcommands, or for ``simulate`` the experiments that
+    read the option. ``default`` may be a function of the command; ``env``
+    names an environment variable read after the flag and the config file.
     """
 
     name: str
@@ -235,10 +237,11 @@ class _Option:
         return "--" + self.name.replace("_", "-")
 
 
-# Subcommand groups, and checks that several rows share.
+# Subcommand and experiment groups, and checks that several rows share.
 _FILES = ("admit", "maxmin", "verify")
-_ALL = (*_FILES, "simulate")
-_SIM = ("simulate",)
+_SIM = ("fig2", "fig3", "fig4")
+_SWEEPS = ("fig2", "fig3")
+_ALL = (*_FILES, *_SIM)
 _TEXT = _scalar(str)
 _COUNT = _scalar(int, lambda n: n >= 0, "at least 0")
 _POSITIVE = _scalar(int, lambda n: n >= 1, "at least 1")
@@ -251,24 +254,29 @@ _OPTIONS = (
     _Option("solver", _TEXT, "both", ("maxmin",), "phase-2 solver, or both to compare",
             choices=(*_SOLVERS, "both")),
     _Option("experiment", _TEXT, None, _SIM, "figure to reproduce",
-            choices=("fig2", "fig3", "fig4"), required=True),
+            choices=_SIM, required=True),
     _Option("pus", _COUNT, None, _SIM, "number of primary users (required)", required=True),
-    _Option("sus", _COUNT, 15, _SIM, "requesting users for fig4"),
-    _Option("n_values", _list_of(_COUNT), (5, 10, 15), _SIM,
+    _Option("sus", _COUNT, 15, ("fig4",), "requesting users for fig4"),
+    _Option("n_values", _list_of(_COUNT), (5, 10, 15), _SWEEPS,
             "comma list of requesting-user counts"),
-    _Option("targets_db", _list_of(_scalar(float)), (5.0, 10.0, 15.0, 20.0, 25.0), _SIM,
+    _Option("targets_db", _list_of(_scalar(float)), (5.0, 10.0, 15.0, 20.0, 25.0), _SWEEPS,
             "comma list of targeted SINRs (dB)"),
-    _Option("threshold_range_db", _db_range, (5.0, 25.0), _SIM,
+    _Option("threshold_range_db", _db_range, (5.0, 25.0), ("fig4",),
             "low,high dB range for fig4 per-user targets"),
-    _Option("runs", _POSITIVE, 10000, _SIM, "Monte-Carlo runs per grid point"),
+    _Option("runs", _POSITIVE, 10000, _SWEEPS, "Monte-Carlo runs per grid point"),
     _Option("seed", _COUNT, 0, _SIM, f"master seed (env {SEED_ENV_VAR} overrides default)",
             env=SEED_ENV_VAR),
     _Option("epsilon", _scalar(float, lambda x: x > 0.0, "strictly positive"), DEFAULT_EPSILON,
-            ("maxmin", "verify", "simulate"), "bisection tolerance, linear SINR"),
+            ("maxmin", "verify", "fig3", "fig4"), "bisection tolerance, linear SINR"),
     _Option("grid_points", _scalar(int, lambda n: n == 0 or n >= 2, "0 (auto) or at least 2"), 0,
             ("verify",), "oracle grid points per axis (default: sized to ~1e6 total)"),
-    _Option("jobs", _POSITIVE, 1, _SIM, "parallel workers over grid points"),
+    _Option("jobs", _POSITIVE, 1, _SWEEPS, "parallel workers over grid points"),
 )
+
+
+def _accepts(command: str, opt: _Option) -> bool:
+    scopes = _SIM if command == "simulate" else (command,)
+    return any(scope in opt.commands for scope in scopes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file supplying option values by name")
         for opt in _OPTIONS:
-            if command in opt.commands:
+            if _accepts(command, opt):
                 # Flags stay text here; parse_config checks them like config values.
                 metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
                 p.add_argument(opt.flag, dest=opt.name, metavar=metavar, help=opt.help)
@@ -309,13 +317,15 @@ def parse_config(argv=None) -> RunConfig:
 
     Precedence: explicit flag > config file > NOMA_CRN_SEED (seed only) >
     built-in default. Every value passes its option's check whatever its
-    source. Raises UsageError on a bad or missing value, ScenarioParseError on
-    an unreadable config file, malformed JSON or an unknown key.
+    source. Raises UsageError on a bad or missing value or on a value the
+    chosen experiment does not read, ScenarioParseError on an unreadable
+    config file, malformed JSON or an unknown key.
     """
     ns = _build_parser().parse_args(argv)
-    accepted = [opt for opt in _OPTIONS if ns.command in opt.commands]
+    accepted = [opt for opt in _OPTIONS if _accepts(ns.command, opt)]
     file_values = _load_config_file(ns.config, {opt.name for opt in accepted}) if ns.config else {}
     values = dict.fromkeys(opt.name for opt in _OPTIONS)
+    given = {}
     for opt in accepted:
         sources = [(opt.flag, getattr(ns, opt.name)),
                    (f"{ns.config}: {opt.name}", file_values.get(opt.name)),
@@ -326,12 +336,19 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError(f"{ns.command} requires {opt.flag}")
             values[opt.name] = opt.default(ns.command) if callable(opt.default) else opt.default
             continue
+        given[opt.name] = source
         try:
             values[opt.name] = opt.parse(raw)
             if opt.choices and values[opt.name] not in opt.choices:
                 raise ValueError(f"expected one of {', '.join(opt.choices)}, got {raw!r}")
         except ValueError as exc:
             raise UsageError(f"{source}: {exc}") from None
+    experiment = values["experiment"]
+    for opt in accepted:
+        if experiment is not None and experiment not in opt.commands:
+            if opt.name in given:
+                raise UsageError(f"{given[opt.name]}: not read by --experiment {experiment}")
+            values[opt.name] = None
     return RunConfig(command=ns.command, **values)
 
 

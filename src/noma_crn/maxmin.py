@@ -6,20 +6,20 @@ as possible while nobody drops below their own threshold. At the optimum
 every user sits at ``max(theta_star, threshold)`` and the budget is spent
 completely; this characterization makes the optimum unique.
 
+The SINR constraints are lower-triangular in the ordered powers, so the
+minimal total power S(theta) holding everyone at ``max(theta, threshold_n)``
+is one pass of phase 1's equality walk (:mod:`noma_crn.model`); run under
+the budget, that walk reaches the last user exactly when S(theta) <= P_s.
 Two independent solvers are provided and must agree:
 
 * :func:`solve_bisection` — bisection on the candidate minimum SINR ``t``,
-  with each step reduced to a closed-form feasibility check. The SINR
-  constraints are lower-triangular in the ordered powers, so the minimal
-  total power for targets ``lambda_n = max(t, threshold_n)`` follows from a
-  one-pass recursion and feasibility is a single sum comparison; no convex
+  with each step reduced to that closed-form feasibility check; no convex
   solver is needed.
 * :func:`solve_waterfill` — walks the distinct threshold levels from the
-  bottom, flooding the lowest SINRs upward. The total power S(theta) needed
-  to hold everyone at ``max(theta, threshold)`` is continuous and strictly
-  increasing beyond the smallest threshold, so the segment containing
-  S^{-1}(P_s) is located by scanning breakpoints and the level inside it by
-  scalar bisection.
+  bottom, flooding the lowest SINRs upward. S(theta) is continuous and
+  strictly increasing beyond the smallest threshold, so the segment
+  containing S^{-1}(P_s) is located by scanning breakpoints and the level
+  inside it by scalar bisection.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admission import _required_power
 from .errors import InfeasibleError
-from .model import Scenario, compute_sinr
+from .model import Scenario, _check_budget, _equality_walk, compute_sinr
 
 __all__ = [
     "MaxMinSolution",
@@ -74,31 +73,14 @@ def min_power_for_targets(scenario: Scenario, targets) -> tuple[float, np.ndarra
         raise ValueError(f"targets must have shape ({scenario.n_sus},), got {lam.shape}")
     if lam.size and np.any(lam <= 0.0):
         raise ValueError("targets must be strictly positive")
-    over_gain = scenario.noise_over_gain
-    powers = np.empty(scenario.n_sus)
-    total = 0.0
-    for n in range(scenario.n_sus):
-        p = _required_power(float(lam[n]), total, float(over_gain[n]))
-        powers[n] = p
-        total += p
-    return total, powers
-
-
-def _curve_total(thresholds: list[float], over_gain: list[float], theta: float) -> float:
-    # Scalar twin of min_power_for_targets at lambda = max(theta, threshold);
-    # same operation order, so results match that path bit for bit. Kept free
-    # of array handling because root searches call it tens of times per solve.
-    total = 0.0
-    for thr, c in zip(thresholds, over_gain):
-        lam = thr if thr > theta else theta
-        total += lam * total + lam * c
-    return total
+    powers, total = _equality_walk(lam.tolist(), scenario.noise_over_gain.tolist())
+    return total, np.asarray(powers, dtype=float)
 
 
 def total_power_curve(scenario: Scenario, theta: float) -> float:
     """S(theta): total power to hold every user at max(theta, own threshold)."""
-    lam = np.maximum(theta, scenario.su_thresholds)
-    total, _ = min_power_for_targets(scenario, lam)
+    _, total = _equality_walk(scenario.su_thresholds.tolist(),
+                              scenario.noise_over_gain.tolist(), floor=theta)
     return total
 
 
@@ -109,20 +91,30 @@ def feasible(scenario: Scenario, t: float, budget: float) -> bool:
     return total_power_curve(scenario, t) <= budget
 
 
-def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> float:
+def _check_phase2_inputs(scenario: Scenario, budget: float,
+                         epsilon: float) -> tuple[list[float], list[float], float]:
+    """Thresholds and N_n/G_n as the walk's float lists, and S at the thresholds."""
     if scenario.n_sus == 0:
         raise ValueError("phase 2 is undefined for an empty admitted set")
-    if not (np.isfinite(budget) and budget > 0.0):
-        raise ValueError("budget must be strictly positive and finite")
+    _check_budget(budget)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be strictly positive and finite")
-    required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
+    thresholds = scenario.su_thresholds.tolist()
+    over_gain = scenario.noise_over_gain.tolist()
+    _, required = _equality_walk(thresholds, over_gain)
     if required > budget:
         raise InfeasibleError(
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    return required
+    return thresholds, over_gain, required
+
+
+def _fits(thresholds: list[float], over_gain: list[float], budget: float,
+          theta: float) -> bool:
+    """S(theta) <= budget: the budgeted walk at floor theta reaches the last user."""
+    powers, _ = _equality_walk(thresholds, over_gain, budget, theta)
+    return len(powers) == len(thresholds)
 
 
 def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
@@ -142,7 +134,7 @@ def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _curve_total(thresholds, over_gain, mid) <= budget:
+        if _fits(thresholds, over_gain, budget, mid):
             lo = mid
         else:
             hi = mid
@@ -154,8 +146,9 @@ def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
 def _assemble(scenario: Scenario, budget: float, theta_star: float, level: float,
               iterations: int, solver: str) -> MaxMinSolution:
     """Powers at targets max(level, thresholds), budget closed on the last user."""
-    lam = np.maximum(level, scenario.su_thresholds)
-    _, powers = min_power_for_targets(scenario, lam)
+    powers, _ = _equality_walk(scenario.su_thresholds.tolist(),
+                               scenario.noise_over_gain.tolist(), floor=level)
+    powers = np.asarray(powers)
     # Fold the (roundoff-level) residual into the weakest user so the budget
     # is spent exactly; only its own SINR moves, and only by ~1 ulp.
     powers[-1] += budget - powers.sum()
@@ -182,16 +175,14 @@ def solve_bisection(scenario: Scenario, budget: float,
     (below what one epsilon of SINR would cost) is then spread with the
     water-filling tie rule so the budget comes out fully spent.
     """
-    _check_phase2_inputs(scenario, budget, epsilon)
-    thresholds = scenario.su_thresholds.tolist()
-    over_gain = scenario.noise_over_gain.tolist()
+    thresholds, over_gain, _ = _check_phase2_inputs(scenario, budget, epsilon)
     lo = float(np.min(scenario.su_thresholds))
     hi = max(_sinr_upper_bound(scenario, budget), lo)
     width = hi - lo
     iterations = 0 if width <= epsilon else math.ceil(math.log2(width / epsilon))
     for _ in range(iterations):
         t = 0.5 * (lo + hi)
-        if _curve_total(thresholds, over_gain, t) <= budget:
+        if _fits(thresholds, over_gain, budget, t):
             lo = t
         else:
             hi = t
@@ -210,7 +201,7 @@ def solve_waterfill(scenario: Scenario, budget: float,
     (well below ``epsilon``; the interval collapses to float resolution).
     ``iterations`` reports how many threshold levels were fully flooded.
     """
-    required = _check_phase2_inputs(scenario, budget, epsilon)
+    thresholds, over_gain, required = _check_phase2_inputs(scenario, budget, epsilon)
     if scenario.n_sus == 1:
         # Degenerate case: the whole budget goes to the only user, exactly.
         # Clamping repairs the 1-ulp dip below the threshold that float
@@ -230,15 +221,13 @@ def solve_waterfill(scenario: Scenario, budget: float,
         # Zero slack: everyone stays at their threshold.
         theta = float(np.min(scenario.su_thresholds))
         return _assemble(scenario, budget, theta, theta, 0, "waterfill")
-    thresholds = scenario.su_thresholds.tolist()
-    over_gain = scenario.noise_over_gain.tolist()
     breakpoints = np.unique(scenario.su_thresholds)  # ascending
     flooded = 0
     lo = float(breakpoints[0])
     hi = None
     for k in range(1, len(breakpoints)):
         level = float(breakpoints[k])
-        if _curve_total(thresholds, over_gain, level) <= budget:
+        if _fits(thresholds, over_gain, budget, level):
             lo = level
             flooded = k
         else:

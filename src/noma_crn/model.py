@@ -15,11 +15,38 @@ user order; producing functions guarantee non-negative entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Scenario", "sort_users", "compute_sinr", "power_budget"]
+
+
+def _check_budget(budget: float) -> None:
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ValueError("budget must be strictly positive and finite")
+
+
+def _equality_walk(targets, costs, budget: float = math.inf,
+                   floor: float = 0.0) -> tuple[list[float], float]:
+    """The equality allocation both phases share: SINR exactly lambda_n per user.
+
+    P_n = lambda_n * total + lambda_n * c_n in order, with lambda_n = max(target_n,
+    floor), c_n = N_n/G_n and ``total`` the power before user n. Stops before the
+    first user with ``total + P_n > budget``; returns the walked powers and total.
+    Every P_n >= 0, so the walk reaches the end exactly when the full total fits.
+    """
+    powers = []
+    total = 0.0
+    for target, cost in zip(targets, costs):
+        lam = target if target > floor else floor
+        power = lam * total + lam * cost
+        if total + power > budget:
+            break
+        powers.append(power)
+        total += power
+    return powers, total
 
 
 def _as_positive_array(name: str, values) -> np.ndarray:
@@ -109,15 +136,18 @@ class Scenario:
         """The same instance restricted to the first ``count`` sorted users."""
         if not 0 <= count <= self.n_sus:
             raise ValueError(f"prefix count {count} out of range 0..{self.n_sus}")
-        return Scenario(
+        # Slices of checked read-only arrays need no second validation pass.
+        order = np.argsort(np.argsort(self.order[:count]))
+        order.flags.writeable = False
+        restricted = object.__new__(Scenario)
+        vars(restricted).update(
+            vars(self),
             su_gains=self.su_gains[:count],
             su_noise=self.su_noise[:count],
             su_thresholds=self.su_thresholds[:count],
-            pu_gains=self.pu_gains,
-            pu_interference_limits=self.pu_interference_limits,
-            p_max=self.p_max,
-            order=np.argsort(np.argsort(self.order[:count])),
+            order=order,
         )
+        return restricted
 
     def to_original_order(self, values) -> np.ndarray:
         """Scatter per-user ``values`` (sorted order) back to the original ordering."""

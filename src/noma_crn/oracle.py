@@ -13,14 +13,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .admission import _required_power
 from .errors import CapacityError
-from .model import Scenario
+from .model import Scenario, _check_budget, _equality_walk
 
 __all__ = ["GridSpec", "GridSearchResult", "oracle_max_admitted", "oracle_max_min_sinr"]
 
 MAX_SUBSET_USERS = 12
 MAX_GRID_USERS = 3
+#: Largest grid-search array: the axis for one user, the mesh for two or three.
+MAX_GRID_ARRAY_POINTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
-        if not self.budget > 0.0:
-            raise ValueError("budget must be strictly positive")
+        _check_budget(self.budget)
 
     @property
     def step(self) -> float:
@@ -67,25 +67,17 @@ def oracle_max_admitted(scenario: Scenario, budget: float) -> int:
     with the same exact-threshold recursion the greedy pass uses, and returns
     the size of the largest subset that fits. N is capped at 12.
     """
+    _check_budget(budget)
     n = scenario.n_sus
     if n > MAX_SUBSET_USERS:
         raise CapacityError(f"subset enumeration supports at most {MAX_SUBSET_USERS} users, got {n}")
-    thresholds = scenario.su_thresholds
-    over_gain = scenario.noise_over_gain
+    users = list(zip(scenario.su_thresholds.tolist(), scenario.noise_over_gain.tolist()))
     for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            total = 0.0
-            for idx in subset:
-                total += _required_power(float(thresholds[idx]), total, float(over_gain[idx]))
-                if total > budget:
-                    break
-            if total <= budget:
+        for subset in combinations(users, size):
+            powers, _ = _equality_walk(*zip(*subset), budget)
+            if len(powers) == size:
                 return size
     return 0
-
-
-def _grid_axis(grid: GridSpec) -> np.ndarray:
-    return np.linspace(0.0, grid.budget, grid.points_per_axis)
 
 
 def _best_feasible(min_sinr: np.ndarray, meets_thresholds: np.ndarray) -> float | None:
@@ -109,10 +101,14 @@ def oracle_max_min_sinr(scenario: Scenario, budget: float, grid: GridSpec) -> Gr
         raise ValueError("grid search is undefined for an empty admitted set")
     if n > MAX_GRID_USERS:
         raise CapacityError(f"grid search supports at most {MAX_GRID_USERS} users, got {n}")
+    array_points = grid.points_per_axis ** min(n, 2)
+    if array_points > MAX_GRID_ARRAY_POINTS:
+        raise CapacityError(f"grid arrays of {array_points} points for {n} users exceed the "
+                            f"{MAX_GRID_ARRAY_POINTS}-point cap; lower points_per_axis")
     gains = scenario.su_gains
     noise = scenario.su_noise
     thresholds = scenario.su_thresholds
-    axis = _grid_axis(grid)
+    axis = np.linspace(0.0, grid.budget, grid.points_per_axis)
     # Tiny slack so points on the simplex boundary survive float dust.
     cap = budget * (1.0 + 1e-12)
     resolution = grid.step * float(np.max(gains / noise))

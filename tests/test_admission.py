@@ -78,19 +78,26 @@ class TestAdmit:
         np.testing.assert_allclose(r.full_powers(), [0.1, 0.2, 0.0])
 
     def test_single_pass_operation_count(self, monkeypatch):
-        calls = []
-        original = admission_mod._required_power
+        original = admission_mod._equality_walk
 
-        def counting(*args):
+        def counting(targets, *args):
+            def each_target():
+                for target in targets:
+                    visited.append(target)
+                    yield target
             calls.append(args)
-            return original(*args)
+            return original(each_target(), *args)
 
-        monkeypatch.setattr(admission_mod, "_required_power", counting)
+        monkeypatch.setattr(admission_mod, "_equality_walk", counting)
         s = equal_ratio_scenario(6, 1.0, 0.1)
-        r = admit(s, 0.5)
-        # One evaluation per visited user: the admitted prefix plus the first
-        # rejection; never a second look.
-        assert len(calls) == min(r.admitted_count + 1, s.n_sus) == 3
+        for budget, admitted in ((0.5, 2), (1e3, 6)):
+            calls, visited = [], []
+            r = admit(s, budget)
+            # One walk over the admitted prefix plus the first rejection (when
+            # there is one); never a second look.
+            assert r.admitted_count == admitted
+            assert len(calls) == 1
+            assert len(visited) == min(r.admitted_count + 1, s.n_sus)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from noma_crn.cli import (
     read_scenario,
     write_scenario,
 )
+from noma_crn.oracle import MAX_GRID_ARRAY_POINTS
 
 
 def write_text(path, text):
@@ -145,10 +147,17 @@ class TestParseConfig:
         (["verify", "--grid-points", "1"], None, "--grid-points"),
         (SIM_FIG2 + ["--runs", "5", "--targets-db", ""], None, "--targets-db"),
         (["verify", "--grid-points", "-5"], None, "--grid-points"),
+        (["simulate", "--experiment", "fig2", "--pus", "1", "--sus", "99",
+          "--threshold-range-db", "1,2", "--epsilon", "0.5"], None,
+         "--sus: not read by --experiment fig2"),
+        (["simulate", "--experiment", "fig4", "--pus", "1", "--runs", "7", "--n-values", "9",
+          "--jobs", "2", "--targets-db", "30"], None, "--n-values: not read by --experiment fig4"),
+        (SIM_FIG4, {"runs": 5}, "runs: not read by --experiment fig4"),
     ], ids=["config-runs-text", "config-solver", "config-experiment", "config-format",
             "config-grid-points", "config-seed-fraction", "config-runs-bool", "flag-sus-negative",
             "flag-n-values-empty", "flag-threshold-range-reversed", "flag-grid-points-one",
-            "flag-targets-db-empty", "flag-grid-points-negative"])
+            "flag-targets-db-empty", "flag-grid-points-negative", "flags-unread-by-fig2",
+            "flags-unread-by-fig4", "config-unread-by-fig4"])
     def test_malformed_option_value_is_usage_error(self, tmp_path, capsys, scenario_file,
                                                    argv, config, name):
         if argv[0] != "simulate":
@@ -179,6 +188,13 @@ class TestMainExitCodes:
         lines = ["noise_dbm -120", "pmax_dbm 20"] + [f"su -{50 + i} 5" for i in range(13)]
         path = write_text(tmp_path / "big.txt", "\n".join(lines) + "\n")
         assert main(["verify", "--scenario", path]) == EXIT_CAPACITY
+
+    def test_grid_points_above_array_cap_is_capacity_error(self, scenario_file, capsys):
+        # Two admitted users build points x points meshes; refused before allocating.
+        side = math.isqrt(MAX_GRID_ARRAY_POINTS) + 1
+        assert main(["verify", "--scenario", scenario_file,
+                     "--grid-points", str(side)]) == EXIT_CAPACITY
+        assert "cap" in capsys.readouterr().err
 
     def test_unwritable_output_is_io_error(self, scenario_file):
         assert main(["admit", "--scenario", scenario_file,

@@ -14,7 +14,7 @@ from noma_crn import (
     solve_waterfill,
     total_power_curve,
 )
-from noma_crn.maxmin import _curve_total
+from noma_crn.model import _equality_walk
 
 from conftest import random_admitted_instance
 
@@ -76,14 +76,25 @@ class TestTotalPowerCurve:
             values = [total_power_curve(scenario, t) for t in thetas]
             assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_scalar_fast_path_matches_array_path_bitwise(self):
+    def test_budgeted_walk_fits_exactly_when_curve_fits(self):
+        # The solvers read S(theta) <= B off the walk under budget B; that
+        # must match comparing the full S(theta), also at threshold
+        # breakpoints and with B equal to S(theta) or one ulp either side.
         rng = np.random.default_rng(7)
         for _ in range(100):
-            scenario, _ = random_admitted_instance(rng)
-            theta = float(10 ** rng.uniform(-1, 3))
-            fast = _curve_total(scenario.su_thresholds.tolist(),
-                                scenario.noise_over_gain.tolist(), theta)
-            assert fast == total_power_curve(scenario, theta)
+            scenario, budget = random_admitted_instance(rng)
+            thresholds = scenario.su_thresholds.tolist()
+            over_gain = scenario.noise_over_gain.tolist()
+            for theta in [float(10 ** rng.uniform(-1, 3)), *thresholds]:
+                curve = total_power_curve(scenario, theta)
+                for b in (budget, curve, math.nextafter(curve, 0.0),
+                          math.nextafter(curve, math.inf)):
+                    powers, total = _equality_walk(thresholds, over_gain, b, theta)
+                    fits = len(powers) == scenario.n_sus
+                    assert fits == (curve <= b)
+                    assert fits == feasible(scenario, theta, b)
+                    if fits:
+                        assert total == curve
 
 
 class TestFeasible:

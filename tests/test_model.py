@@ -72,6 +72,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             s.prefix(4)
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 4])
+    def test_prefix_equals_validated_scenario_of_the_slices(self, count):
+        s = sort_users([1.0, 3.0, 2.0, 5.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0],
+                       pu_gains=[0.5, 0.25], pu_interference_limits=[1.0, 2.0], p_max=4.0)
+        sub = s.prefix(count)
+        ref = Scenario(s.su_gains[:count], s.su_noise[:count], s.su_thresholds[:count],
+                       s.pu_gains, s.pu_interference_limits, s.p_max,
+                       order=np.argsort(np.argsort(s.order[:count])))
+        assert sub.p_max == ref.p_max
+        for field in ("su_gains", "su_noise", "su_thresholds", "pu_gains",
+                      "pu_interference_limits", "order"):
+            got, want = getattr(sub, field), getattr(ref, field)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable, field
+
 
 class TestComputeSinr:
     def test_single_user_direct_substitution(self):

@@ -14,6 +14,8 @@ from noma_crn import (
     solve_waterfill,
 )
 
+import noma_crn.oracle as oracle_mod
+
 from conftest import random_admitted_instance
 
 
@@ -23,6 +25,11 @@ class TestGridSpec:
             GridSpec(1, 1.0)
         with pytest.raises(ValueError):
             GridSpec(10, 0.0)
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            GridSpec(5, budget)
 
     def test_step(self):
         assert GridSpec(11, 1.0).step == pytest.approx(0.1)
@@ -42,6 +49,16 @@ class TestOracleMaxAdmitted:
     def test_budget_below_cheapest_user_admits_nobody(self):
         s = Scenario([1.0, 0.5], [1.0, 1.0], [1.0, 1.0], [], [], 10.0)
         assert oracle_max_admitted(s, 0.5) == 0
+
+    # Both admission counts share one budget check.
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("count", [oracle_max_admitted,
+                                       lambda s, b: admit(s, b).admitted_count],
+                             ids=["oracle", "admit"])
+    def test_bad_budget_rejected(self, budget, count):
+        s = Scenario([1.0, 0.5], [1.0, 1.0], [1.0, 1.0], [], [], 10.0)
+        with pytest.raises(ValueError, match="budget must be strictly positive and finite"):
+            count(s, budget)
 
     def test_capacity_limit(self):
         n = 13
@@ -103,6 +120,20 @@ class TestOracleMaxMinSinr:
             oracle_max_min_sinr(s, 1.0, GridSpec(5, 1.0))
         with pytest.raises(ValueError):
             oracle_max_min_sinr(Scenario([], [], [], [], [], 1.0), 1.0, GridSpec(5, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_size_cap(self, monkeypatch, n):
+        # One point per axis past the cap is refused before any array is
+        # built; at the cap itself the search runs (checked on a small cap).
+        s = Scenario([1.0] * n, [1.0] * n, [0.1] * n, [], [], 10.0)
+        cap = oracle_mod.MAX_GRID_ARRAY_POINTS
+        side = cap if n == 1 else math.isqrt(cap)
+        with pytest.raises(CapacityError, match="cap"):
+            oracle_max_min_sinr(s, 1.0, GridSpec(side + 1, 1.0))
+        monkeypatch.setattr(oracle_mod, "MAX_GRID_ARRAY_POINTS", 41 ** min(n, 2))
+        assert oracle_max_min_sinr(s, 1.0, GridSpec(41, 1.0)).value is not None
+        with pytest.raises(CapacityError, match="cap"):
+            oracle_max_min_sinr(s, 1.0, GridSpec(42, 1.0))
 
     def test_monotone_in_budget(self):
         s = Scenario([1.0, 0.8], [1.0, 1.0], [1.0, 1.0], [], [], 100.0)

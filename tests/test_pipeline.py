@@ -40,6 +40,21 @@ class TestRunTwoPhase:
         out = run_two_phase(Scenario([], [], [], [], [], 1.0))
         assert out.admission.admitted_count == 0 and out.maxmin is None
 
+    @pytest.mark.parametrize("solver", ["bisection", "waterfill"])
+    def test_validates_the_scenario_only_where_it_is_built(self, monkeypatch, solver):
+        scenario = cell()
+        validated = []
+        original = Scenario.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            original(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        out = run_two_phase(scenario, solver=solver)
+        assert out.maxmin is not None and out.admission.admitted_count >= 1
+        assert validated == []
+
 
 class TestPrefixOrderBookkeeping:
     def test_restricted_order_ranks_surviving_users(self):
