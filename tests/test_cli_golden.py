@@ -18,6 +18,24 @@ su -60 5
 pu -70 -90
 """
 
+# One user that needs ~3e5 W against a 0.1 W cap: nobody is admitted.
+NOBODY_SCENARIO = """
+noise_dbm -120
+pmax_dbm 20
+su -200 5
+"""
+
+SCENARIOS = {"s.txt": SMALL_SCENARIO, "nobody.txt": NOBODY_SCENARIO}
+
+ADMIT_TABLE = """\
+budget: 1e-05 W (-20 dBm)
+admitted: 2 of 2
+remaining power: 9.99552e-06 W
+ user         gain  target_db      power_w admitted
+    0        1e-05          5  3.16228e-10 yes
+    1        1e-06          5  4.16228e-09 yes
+"""
+
 ADMIT_CSV = """\
 user_index,gain,target_db,power_w,admitted
 0,1e-05,5,3.16228e-10,1
@@ -79,29 +97,90 @@ user_index,gain,target_db,achieved_db,admitted
 0,1.19759e-08,7.96062,,0
 """
 
+ADMIT_NOBODY_TABLE = """\
+budget: 0.1 W (20 dBm)
+admitted: 0 of 1
+remaining power: 0.1 W
+ user         gain  target_db      power_w admitted
+    0        1e-20          5            0 no
+"""
+
+MAXMIN_NOBODY_TABLE = """\
+0 admitted of 1; phase 2 skipped
+"""
+
+VERIFY_NOBODY = """\
+phase 1: greedy admitted 0, exhaustive best 0 -> agree
+phase 2: nobody admitted; nothing to verify
+verification: PASS
+"""
+
+# Table rows are 134 characters wide; each is split after its third column.
+FIG2_TABLE = (
+    "            target_sinr_db               n_requesting                      m_pus "
+    "                      runs              mean_admitted\n"
+    "                         5                          3                          2 "
+    "                        50                        2.7\n"
+    "                         5                          5                          2 "
+    "                        50                       4.06\n"
+    "                        15                          3                          2 "
+    "                        50                       1.54\n"
+    "                        15                          5                          2 "
+    "                        50                        1.6\n"
+)
+
+FIG4_TABLE = (
+    "                user_index                       gain                  target_db "
+    "               achieved_db                   admitted\n"
+    "                         1                  1.202e-07                    10.0814 "
+    "                   19.8973                          1\n"
+    "                         2                9.61464e-08                    16.0261 "
+    "                   19.8973                          1\n"
+    "                         3                  5.814e-08                    14.7678 "
+    "                                                    0\n"
+    "                         7                4.95516e-08                    19.4521 "
+    "                                                    0\n"
+    "                         4                4.15073e-08                    7.89554 "
+    "                                                    0\n"
+    "                         5                1.54179e-08                    8.32225 "
+    "                                                    0\n"
+    "                         6                1.49122e-08                    16.7148 "
+    "                                                    0\n"
+    "                         0                1.19759e-08                    7.96062 "
+    "                                                    0\n"
+)
+
 _SWEEP = ["--n-values", "3,5", "--targets-db", "5,15", "--seed", "11"]
+_NOBODY = ["--scenario", "nobody.txt"]
+_FIG2 = ["simulate", "--experiment", "fig2", "--pus", "2", "--runs", "50", *_SWEEP]
+_FIG4 = ["simulate", "--experiment", "fig4", "--pus", "1", "--sus", "8", "--seed", "11"]
 
 CASES = {
     "admit_csv": (["admit", "--format", "csv"], ADMIT_CSV),
     "maxmin_table": (["maxmin"], MAXMIN_TABLE),
     "maxmin_csv_both": (["maxmin", "--format", "csv", "--solver", "both"], MAXMIN_CSV),
     "verify": (["verify"], VERIFY_TABLE),
-    "fig2": (["simulate", "--experiment", "fig2", "--pus", "2", "--runs", "50", *_SWEEP],
-             FIG2_CSV),
+    "fig2": (_FIG2, FIG2_CSV),
     "fig3": (["simulate", "--experiment", "fig3", "--pus", "0", "--runs", "40", *_SWEEP],
              FIG3_CSV),
-    "fig4": (["simulate", "--experiment", "fig4", "--pus", "1", "--sus", "8", "--seed", "11"],
-             FIG4_CSV),
+    "fig4": (_FIG4, FIG4_CSV),
+    "admit_table": (["admit"], ADMIT_TABLE),
+    "admit_nobody": (["admit", *_NOBODY], ADMIT_NOBODY_TABLE),
+    "maxmin_nobody": (["maxmin", *_NOBODY], MAXMIN_NOBODY_TABLE),
+    "verify_nobody": (["verify", *_NOBODY], VERIFY_NOBODY),
+    "fig2_table": ([*_FIG2, "--format", "table"], FIG2_TABLE),
+    "fig4_table": ([*_FIG4, "--format", "table"], FIG4_TABLE),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_output_bytes_are_pinned(name, tmp_path):
+def test_output_bytes_are_pinned(name, tmp_path, monkeypatch):
     argv, expected = CASES[name]
-    if argv[0] != "simulate":
-        scenario = tmp_path / "s.txt"
-        scenario.write_text(SMALL_SCENARIO, encoding="utf-8")
-        argv = [argv[0], "--scenario", str(scenario), *argv[1:]]
+    monkeypatch.chdir(tmp_path)
+    for file_name, text in SCENARIOS.items():
+        (tmp_path / file_name).write_text(text, encoding="utf-8")
+    if argv[0] != "simulate" and "--scenario" not in argv:
+        argv = [argv[0], "--scenario", "s.txt", *argv[1:]]
     out_path = tmp_path / "out.txt"
     assert main([*argv, "--output", str(out_path)]) == EXIT_OK
     assert out_path.read_bytes() == expected.encode("utf-8")
