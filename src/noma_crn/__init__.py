@@ -19,7 +19,7 @@ from .maxmin import (
     solve_waterfill,
     total_power_curve,
 )
-from .model import Scenario, compute_sinr, power_budget, sort_users
+from .model import Scenario, compute_sinr, power_budget, read_scenario, sort_users, write_scenario
 from .montecarlo import (
     ChannelModel,
     ExperimentStats,
@@ -61,6 +61,7 @@ __all__ = [
     "oracle_max_admitted",
     "oracle_max_min_sinr",
     "power_budget",
+    "read_scenario",
     "required_prefix_power",
     "run_fig2",
     "run_fig3",
@@ -72,6 +73,7 @@ __all__ = [
     "sort_users",
     "total_power_curve",
     "watts_to_dbm",
+    "write_scenario",
 ]
 
 __version__ = "0.1.0"

@@ -7,17 +7,11 @@ maxmin    two-phase run; phase-2 solver choice bisection/waterfill/both
 verify    exhaustive cross-checks of both phases on a desk-scale scenario
 simulate  Monte-Carlo sweeps (fig2/fig3) or a heterogeneous-target snapshot (fig4)
 
-Scenario file format (hand-editable, one item per line, ``#`` comments)::
-
-    noise_dbm -120          # aggregate noise+PU interference per SU
-    pmax_dbm  20            # transmit power cap
-    su <gain_db> <threshold_db>     # one line per secondary user
-    pu <gain_db> <limit_dbm>        # one line per primary user (optional)
-
-All user-facing SINR/power values are dB/dBm; conversion to linear happens on
-read. CSV output uses 6 significant digits, comma separators, ``.`` decimals
-and LF line endings; identical configs (including seed) produce byte-identical
-files.
+Scenario files use the format in :mod:`noma_crn.model`. All user-facing
+SINR/power values are dB/dBm. Each subcommand returns its exit code and its
+output lines, which ``main`` writes once, to stdout or ``--output``. CSV output
+uses 6 significant digits, comma separators, ``.`` decimals and LF line
+endings; identical configs (including seed) produce byte-identical files.
 
 Each option is one row of ``_OPTIONS``: its flag, config key, check, default
 and the subcommands that accept it (for ``simulate``, the experiments that
@@ -41,21 +35,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Callable
-
-import numpy as np
 
 from .admission import admit
 from .errors import CapacityError, InfeasibleError, ScenarioParseError
 from .maxmin import DEFAULT_EPSILON
-from .model import Scenario, power_budget, sort_users
+from .model import power_budget, read_scenario
 from .montecarlo import ChannelModel, run_fig2, run_fig3, run_fig4
 from .oracle import GridSpec, oracle_max_admitted, oracle_max_min_sinr
 from .pipeline import _SOLVERS, run_two_phase
-from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+from .units import linear_to_db, watts_to_dbm
 
-__all__ = ["RunConfig", "parse_config", "read_scenario", "write_scenario", "main", "entrypoint"]
+__all__ = ["RunConfig", "parse_config", "main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,103 +58,6 @@ EXIT_CAPACITY = 5
 EXIT_IO = 6
 
 SEED_ENV_VAR = "NOMA_CRN_SEED"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Checked option values; options the subcommand or experiment does not read are None."""
-
-    command: str
-    scenario: str | None
-    format: str | None
-    output: str | None
-    solver: str | None
-    experiment: str | None
-    pus: int | None
-    sus: int | None
-    n_values: tuple[int, ...] | None
-    targets_db: tuple[float, ...] | None
-    threshold_range_db: tuple[float, float] | None
-    runs: int | None
-    seed: int | None
-    epsilon: float | None
-    grid_points: int | None
-    jobs: int | None
-
-
-# ----------------------------------------------------------------- scenario IO
-
-def read_scenario(path: str) -> Scenario:
-    """Parse a scenario file; raises ScenarioParseError with line context."""
-    scalars: dict[str, float] = {}
-    su_rows: list[tuple[float, float]] = []
-    pu_rows: list[tuple[float, float]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ScenarioParseError(f"{path}: cannot read scenario file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, values = parts[0], parts[1:]
-
-        def numbers(expected: int) -> list[float]:
-            if len(values) != expected:
-                raise ScenarioParseError(
-                    f"{path}:{lineno}: '{key}' expects {expected} value(s), got {len(values)}")
-            try:
-                return [float(v) for v in values]
-            except ValueError as exc:
-                raise ScenarioParseError(f"{path}:{lineno}: malformed number in '{line}'") from exc
-
-        if key in ("noise_dbm", "pmax_dbm"):
-            if key in scalars:
-                raise ScenarioParseError(f"{path}:{lineno}: duplicate '{key}'")
-            scalars[key] = numbers(1)[0]
-        elif key == "su":
-            gain_db, thr_db = numbers(2)
-            su_rows.append((gain_db, thr_db))
-        elif key == "pu":
-            gain_db, limit_dbm = numbers(2)
-            pu_rows.append((gain_db, limit_dbm))
-        else:
-            raise ScenarioParseError(f"{path}:{lineno}: unknown key '{key}'")
-    for required in ("noise_dbm", "pmax_dbm"):
-        if required not in scalars:
-            raise ScenarioParseError(f"{path}: missing required '{required}' line")
-    n = len(su_rows)
-    return sort_users(
-        [db_to_linear(g) for g, _ in su_rows],
-        [dbm_to_watts(scalars["noise_dbm"])] * n if n else [],
-        [db_to_linear(t) for _, t in su_rows],
-        pu_gains=[db_to_linear(g) for g, _ in pu_rows],
-        pu_interference_limits=[dbm_to_watts(lim) for _, lim in pu_rows],
-        p_max=dbm_to_watts(scalars["pmax_dbm"]),
-    )
-
-
-def write_scenario(path: str, scenario: Scenario) -> None:
-    """Write the canonical (sorted-order) scenario file for this instance.
-
-    Values are stored in dB/dBm at full float precision. Per-user noise must
-    be uniform, matching the file format's single ``noise_dbm`` line.
-    """
-    if scenario.n_sus and not np.all(scenario.su_noise == scenario.su_noise[0]):
-        raise ValueError("scenario files carry a single noise level; per-user noise differs")
-    noise_dbm = watts_to_dbm(scenario.su_noise[0]) if scenario.n_sus else -120.0
-    lines = [
-        f"noise_dbm {noise_dbm:.17g}",
-        f"pmax_dbm {watts_to_dbm(scenario.p_max):.17g}",
-    ]
-    for gain, thr in zip(scenario.su_gains, scenario.su_thresholds):
-        lines.append(f"su {linear_to_db(gain):.17g} {linear_to_db(thr):.17g}")
-    for gain, limit in zip(scenario.pu_gains, scenario.pu_interference_limits):
-        lines.append(f"pu {linear_to_db(gain):.17g} {watts_to_dbm(limit):.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------- options
@@ -249,7 +144,7 @@ _POSITIVE = _scalar(int, lambda n: n >= 1, "at least 1")
 _OPTIONS = (
     _Option("scenario", _TEXT, None, _FILES, "scenario file path", required=True),
     _Option("format", _TEXT, lambda command: "csv" if command == "simulate" else "table",
-            _ALL, "output format", choices=("table", "csv")),
+            ("admit", "maxmin", *_SIM), "output format", choices=("table", "csv")),
     _Option("output", _TEXT, None, _ALL, "write results to this path instead of stdout"),
     _Option("solver", _TEXT, "both", ("maxmin",), "phase-2 solver, or both to compare",
             choices=(*_SOLVERS, "both")),
@@ -272,6 +167,11 @@ _OPTIONS = (
             ("verify",), "oracle grid points per axis (default: sized to ~1e6 total)"),
     _Option("jobs", _POSITIVE, 1, _SWEEPS, "parallel workers over grid points"),
 )
+
+RunConfig = make_dataclass(
+    "RunConfig", ["command", *(opt.name for opt in _OPTIONS)], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Checked option values; options the "
+               "subcommand or experiment does not read are None."})
 
 
 def _accepts(command: str, opt: _Option) -> bool:
@@ -352,7 +252,7 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(command=ns.command, **values)
 
 
-# ----------------------------------------------------------------- output helpers
+# ----------------------------------------------------------------- subcommands
 
 def _fmt(value) -> str:
     """CSV cell: 6 significant digits for floats, blanks for missing values."""
@@ -365,112 +265,86 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _Out:
-    """Writes either to a file (LF endings) or stdout; collects rows as CSV or text."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self._chunks: list[str] = []
-
-    def line(self, text: str = "") -> None:
-        self._chunks.append(text + "\n")
-
-    def csv_rows(self, rows) -> None:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
-        self._chunks.append(buf.getvalue())
-
-    def flush(self) -> None:
-        text = "".join(self._chunks)
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+def _csv(header, rows) -> list[str]:
+    """The header and rows as CSV lines, cells formatted by ``_fmt``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_fmt(v) for v in row] for row in [header, *rows])
+    return buf.getvalue().split("\n")[:-1]
 
 
-# ----------------------------------------------------------------- subcommands
-
-def _admit_rows(scenario: Scenario, result):
-    full = result.full_powers()
-    targets_db = linear_to_db(scenario.su_thresholds) if scenario.n_sus else []
-    for i in range(scenario.n_sus):
-        yield (int(scenario.order[i]), float(scenario.su_gains[i]), float(targets_db[i]),
-               float(full[i]), i < result.admitted_count)
-
-
-def _cmd_admit(cfg: RunConfig, out: _Out) -> int:
+def _cmd_admit(cfg: RunConfig) -> tuple[int, list[str]]:
     scenario = read_scenario(cfg.scenario)
     budget = power_budget(scenario)
     result = admit(scenario, budget)
+    full = result.full_powers()
+    targets_db = linear_to_db(scenario.su_thresholds) if scenario.n_sus else []
+    rows = [(int(scenario.order[i]), float(scenario.su_gains[i]), float(targets_db[i]),
+             float(full[i]), i < result.admitted_count) for i in range(scenario.n_sus)]
     if cfg.format == "csv":
-        out.csv_rows([("user_index", "gain", "target_db", "power_w", "admitted"),
-                      *_admit_rows(scenario, result)])
-    else:
-        out.line(f"budget: {budget:.6g} W ({watts_to_dbm(budget):.6g} dBm)")
-        out.line(f"admitted: {result.admitted_count} of {scenario.n_sus}")
-        out.line(f"remaining power: {result.remaining_power:.6g} W")
-        if scenario.n_sus:
-            out.line(f"{'user':>5} {'gain':>12} {'target_db':>10} {'power_w':>12} admitted")
-            for idx, gain, tdb, p, adm in _admit_rows(scenario, result):
-                out.line(f"{idx:>5} {gain:>12.6g} {tdb:>10.6g} {p:>12.6g} {'yes' if adm else 'no'}")
-    return EXIT_OK
+        return EXIT_OK, _csv(("user_index", "gain", "target_db", "power_w", "admitted"), rows)
+    lines = [f"budget: {budget:.6g} W ({watts_to_dbm(budget):.6g} dBm)",
+             f"admitted: {result.admitted_count} of {scenario.n_sus}",
+             f"remaining power: {result.remaining_power:.6g} W"]
+    if rows:
+        lines.append(f"{'user':>5} {'gain':>12} {'target_db':>10} {'power_w':>12} admitted")
+    for idx, gain, tdb, p, adm in rows:
+        lines.append(f"{idx:>5} {gain:>12.6g} {tdb:>10.6g} {p:>12.6g} {'yes' if adm else 'no'}")
+    return EXIT_OK, lines
 
 
-def _cmd_maxmin(cfg: RunConfig, out: _Out) -> int:
+def _cmd_maxmin(cfg: RunConfig) -> tuple[int, list[str]]:
     scenario = read_scenario(cfg.scenario)
     names = list(_SOLVERS) if cfg.solver == "both" else [cfg.solver]
     outcomes = {name: run_two_phase(scenario, solver=name, epsilon=cfg.epsilon) for name in names}
     first = outcomes[names[0]]
     admitted = first.admission.admitted_count
-    if admitted == 0:
-        out.line(f"0 admitted of {scenario.n_sus}; phase 2 skipped")
-        return EXIT_OK
     if cfg.format == "csv":
-        rows = [("solver", "theta_linear", "theta_db", "iterations",
-                 "user_index", "power_w", "achieved_db")]
+        # With nobody admitted there is no solution row, only the header.
+        rows = []
         for name, outcome in outcomes.items():
             sol = outcome.maxmin
-            for i in range(admitted):
-                rows.append((name, sol.theta_star, linear_to_db(sol.theta_star), sol.iterations,
-                             int(scenario.order[i]), float(sol.powers[i]),
-                             float(linear_to_db(sol.achieved_sinr[i]))))
-        out.csv_rows(rows)
-    else:
-        out.line(f"budget: {first.budget:.6g} W; admitted {admitted} of {scenario.n_sus}")
-        for name, outcome in outcomes.items():
-            sol = outcome.maxmin
-            out.line(f"[{name}] theta* = {linear_to_db(sol.theta_star):.6g} dB "
-                     f"({sol.theta_star:.6g} linear), iterations = {sol.iterations}")
-            out.line(f"[{name}] powers (W): " + " ".join(f"{p:.6g}" for p in sol.powers))
-            out.line(f"[{name}] achieved SINR (dB): "
-                     + " ".join(f"{linear_to_db(g):.6g}" for g in sol.achieved_sinr))
-        if cfg.solver == "both":
-            thetas = [outcome.maxmin.theta_star for outcome in outcomes.values()]
-            gap = abs(thetas[0] - thetas[1])
-            out.line(f"theta* discrepancy: {gap:.6g} (tolerance 2*epsilon = {2 * cfg.epsilon:.6g})")
-    return EXIT_OK
+            rows += [(name, sol.theta_star, linear_to_db(sol.theta_star), sol.iterations,
+                      int(scenario.order[i]), float(sol.powers[i]),
+                      float(linear_to_db(sol.achieved_sinr[i]))) for i in range(admitted)]
+        return EXIT_OK, _csv(("solver", "theta_linear", "theta_db", "iterations",
+                              "user_index", "power_w", "achieved_db"), rows)
+    if admitted == 0:
+        return EXIT_OK, [f"0 admitted of {scenario.n_sus}; phase 2 skipped"]
+    lines = [f"budget: {first.budget:.6g} W; admitted {admitted} of {scenario.n_sus}"]
+    for name, outcome in outcomes.items():
+        sol = outcome.maxmin
+        lines += [f"[{name}] theta* = {linear_to_db(sol.theta_star):.6g} dB "
+                  f"({sol.theta_star:.6g} linear), iterations = {sol.iterations}",
+                  f"[{name}] powers (W): " + " ".join(f"{p:.6g}" for p in sol.powers),
+                  f"[{name}] achieved SINR (dB): "
+                  + " ".join(f"{linear_to_db(g):.6g}" for g in sol.achieved_sinr)]
+    if cfg.solver == "both":
+        thetas = [outcome.maxmin.theta_star for outcome in outcomes.values()]
+        gap = abs(thetas[0] - thetas[1])
+        lines.append(f"theta* discrepancy: {gap:.6g} (tolerance 2*epsilon = {2 * cfg.epsilon:.6g})")
+    return EXIT_OK, lines
 
 
-def _cmd_verify(cfg: RunConfig, out: _Out) -> int:
+def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     scenario = read_scenario(cfg.scenario)
     outcomes = {name: run_two_phase(scenario, solver=name, epsilon=cfg.epsilon)
                 for name in _SOLVERS}
     budget, result = outcomes["bisection"].budget, outcomes["bisection"].admission
     best_count = oracle_max_admitted(scenario, budget)
     ok = result.admitted_count == best_count
-    out.line(f"phase 1: greedy admitted {result.admitted_count}, exhaustive best {best_count} "
-             f"-> {'agree' if ok else 'MISMATCH'}")
+    lines = [f"phase 1: greedy admitted {result.admitted_count}, exhaustive best {best_count} "
+             f"-> {'agree' if ok else 'MISMATCH'}"]
     if 1 <= result.admitted_count <= 3:
         restricted = scenario.prefix(result.admitted_count)
         # grid_points 0 sizes the grid to ~1e6 points in total.
         points = cfg.grid_points or {1: 1_000_001, 2: 1415, 3: 181}[result.admitted_count]
         grid = GridSpec(points, budget)
         search = oracle_max_min_sinr(restricted, budget, grid)
-        out.line(f"phase 2 grid: {search.points_checked} points, "
-                 f"resolution {search.resolution:.6g} (linear SINR)")
+        lines.append(f"phase 2 grid: {search.points_checked} points, "
+                     f"resolution {search.resolution:.6g} (linear SINR)")
         if search.value is None:
-            out.line("phase 2 grid: no feasible grid point (grid too coarse)")
+            lines.append("phase 2 grid: no feasible grid point (grid too coarse)")
             ok = False
         else:
             for name, outcome in outcomes.items():
@@ -478,15 +352,16 @@ def _cmd_verify(cfg: RunConfig, out: _Out) -> int:
                 gap = sol.theta_star - search.value
                 solver_ok = -1e-9 * max(1.0, search.value) <= gap <= search.resolution
                 ok = ok and solver_ok
-                out.line(f"phase 2: {name} theta*={sol.theta_star:.6g} vs grid {search.value:.6g} "
-                         f"(gap {gap:.3g}) -> {'agree' if solver_ok else 'MISMATCH'}")
+                lines.append(f"phase 2: {name} theta*={sol.theta_star:.6g} vs grid "
+                             f"{search.value:.6g} (gap {gap:.3g}) -> "
+                             f"{'agree' if solver_ok else 'MISMATCH'}")
     elif result.admitted_count > 3:
-        out.line(f"phase 2 grid: skipped ({result.admitted_count} admitted users exceed "
-                 "the 3-user grid oracle)")
+        lines.append(f"phase 2 grid: skipped ({result.admitted_count} admitted users exceed "
+                     "the 3-user grid oracle)")
     else:
-        out.line("phase 2: nobody admitted; nothing to verify")
-    out.line("verification: " + ("PASS" if ok else "FAIL"))
-    return EXIT_OK if ok else EXIT_MISMATCH
+        lines.append("phase 2: nobody admitted; nothing to verify")
+    lines.append("verification: " + ("PASS" if ok else "FAIL"))
+    return (EXIT_OK if ok else EXIT_MISMATCH), lines
 
 
 _FIG2_HEADER = ("target_sinr_db", "n_requesting", "m_pus", "runs", "mean_admitted")
@@ -494,7 +369,7 @@ _FIG3_HEADER = _FIG2_HEADER + ("mean_min_achieved_sinr_db", "mean_all_achieved_s
 _FIG4_HEADER = ("user_index", "gain", "target_db", "achieved_db", "admitted")
 
 
-def _cmd_simulate(cfg: RunConfig, out: _Out) -> int:
+def _cmd_simulate(cfg: RunConfig) -> tuple[int, list[str]]:
     # Each header names the fields of the records the driver returns.
     if cfg.experiment == "fig4":
         model = ChannelModel(num_sus=cfg.sus, num_pus=cfg.pus)
@@ -510,13 +385,9 @@ def _cmd_simulate(cfg: RunConfig, out: _Out) -> int:
             records = run_fig3(model, *sweep, epsilon=cfg.epsilon, n_jobs=cfg.jobs)
             header = _FIG3_HEADER
     table = [tuple(getattr(record, field) for field in header) for record in records]
-    if cfg.format == "table":
-        out.line(" ".join(f"{h:>26}" for h in header))
-        for row in table:
-            out.line(" ".join(f"{_fmt(v):>26}" for v in row))
-    else:
-        out.csv_rows([header, *table])
-    return EXIT_OK
+    if cfg.format == "csv":
+        return EXIT_OK, _csv(header, table)
+    return EXIT_OK, [" ".join(f"{_fmt(v):>26}" for v in row) for row in [header, *table]]
 
 
 # ----------------------------------------------------------------- entry point
@@ -533,9 +404,13 @@ def main(argv=None) -> int:
     """Run the CLI; returns the process exit code (see module docstring)."""
     try:
         cfg = parse_config(argv)
-        out = _Out(cfg.output)
-        code = _COMMANDS[cfg.command][0](cfg, out)
-        out.flush()
+        code, lines = _COMMANDS[cfg.command][0](cfg)
+        text = "".join(line + "\n" for line in lines)
+        if cfg.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,6 +79,8 @@ def min_power_for_targets(scenario: Scenario, targets) -> tuple[float, np.ndarra
 
 def total_power_curve(scenario: Scenario, theta: float) -> float:
     """S(theta): total power to hold every user at max(theta, own threshold)."""
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError("theta must be strictly positive and finite")
     _, total = _equality_walk(scenario.su_thresholds.tolist(),
                               scenario.noise_over_gain.tolist(), floor=theta)
     return total
@@ -86,8 +88,7 @@ def total_power_curve(scenario: Scenario, theta: float) -> float:
 
 def feasible(scenario: Scenario, t: float, budget: float) -> bool:
     """Can all users reach SINR >= max(t, own threshold) within ``budget``?"""
-    if t <= 0.0:
-        raise ValueError("t must be strictly positive")
+    _check_budget(budget)
     return total_power_curve(scenario, t) <= budget
 
 

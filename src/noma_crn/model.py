@@ -11,6 +11,16 @@ happen only at I/O boundaries.
 
 Power vectors are plain 1-D ``float64`` numpy arrays indexed in the sorted
 user order; producing functions guarantee non-negative entries.
+
+Scenario file format (hand-editable, one item per line, ``#`` comments), read
+by :func:`read_scenario` and written by :func:`write_scenario`::
+
+    noise_dbm -120          # aggregate noise+PU interference per SU
+    pmax_dbm  20            # transmit power cap
+    su <gain_db> <threshold_db>     # one line per secondary user
+    pu <gain_db> <limit_dbm>        # one line per primary user (optional)
+
+Files carry dB/dBm values; conversion to linear happens on read.
 """
 
 from __future__ import annotations
@@ -20,7 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Scenario", "sort_users", "compute_sinr", "power_budget"]
+from .errors import ScenarioParseError
+from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
+
+__all__ = ["Scenario", "sort_users", "compute_sinr", "power_budget", "read_scenario",
+           "write_scenario"]
 
 
 def _check_budget(budget: float) -> None:
@@ -217,3 +231,76 @@ def power_budget(scenario: Scenario) -> float:
     if scenario.n_pus == 0:
         return scenario.p_max
     return float(min(np.min(scenario.pu_interference_limits / scenario.pu_gains), scenario.p_max))
+
+
+def read_scenario(path: str) -> Scenario:
+    """Parse a scenario file; raises ScenarioParseError with line context."""
+    scalars: dict[str, float] = {}
+    su_rows: list[tuple[float, float]] = []
+    pu_rows: list[tuple[float, float]] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ScenarioParseError(f"{path}: cannot read scenario file: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        key, values = parts[0], parts[1:]
+
+        def numbers(expected: int) -> list[float]:
+            if len(values) != expected:
+                raise ScenarioParseError(
+                    f"{path}:{lineno}: '{key}' expects {expected} value(s), got {len(values)}")
+            try:
+                return [float(v) for v in values]
+            except ValueError as exc:
+                raise ScenarioParseError(f"{path}:{lineno}: malformed number in '{line}'") from exc
+
+        if key in ("noise_dbm", "pmax_dbm"):
+            if key in scalars:
+                raise ScenarioParseError(f"{path}:{lineno}: duplicate '{key}'")
+            scalars[key] = numbers(1)[0]
+        elif key == "su":
+            gain_db, thr_db = numbers(2)
+            su_rows.append((gain_db, thr_db))
+        elif key == "pu":
+            gain_db, limit_dbm = numbers(2)
+            pu_rows.append((gain_db, limit_dbm))
+        else:
+            raise ScenarioParseError(f"{path}:{lineno}: unknown key '{key}'")
+    for required in ("noise_dbm", "pmax_dbm"):
+        if required not in scalars:
+            raise ScenarioParseError(f"{path}: missing required '{required}' line")
+    n = len(su_rows)
+    return sort_users(
+        [db_to_linear(g) for g, _ in su_rows],
+        [dbm_to_watts(scalars["noise_dbm"])] * n if n else [],
+        [db_to_linear(t) for _, t in su_rows],
+        pu_gains=[db_to_linear(g) for g, _ in pu_rows],
+        pu_interference_limits=[dbm_to_watts(lim) for _, lim in pu_rows],
+        p_max=dbm_to_watts(scalars["pmax_dbm"]),
+    )
+
+
+def write_scenario(path: str, scenario: Scenario) -> None:
+    """Write the canonical (sorted-order) scenario file for this instance.
+
+    Values are stored in dB/dBm at full float precision. Per-user noise must
+    be uniform, matching the file format's single ``noise_dbm`` line.
+    """
+    if scenario.n_sus and not np.all(scenario.su_noise == scenario.su_noise[0]):
+        raise ValueError("scenario files carry a single noise level; per-user noise differs")
+    noise_dbm = watts_to_dbm(scenario.su_noise[0]) if scenario.n_sus else -120.0
+    lines = [
+        f"noise_dbm {noise_dbm:.17g}",
+        f"pmax_dbm {watts_to_dbm(scenario.p_max):.17g}",
+    ]
+    for gain, thr in zip(scenario.su_gains, scenario.su_thresholds):
+        lines.append(f"su {linear_to_db(gain):.17g} {linear_to_db(thr):.17g}")
+    for gain, limit in zip(scenario.pu_gains, scenario.pu_interference_limits):
+        lines.append(f"pu {linear_to_db(gain):.17g} {watts_to_dbm(limit):.17g}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .admission import admit
 from .maxmin import DEFAULT_EPSILON, solve_waterfill
-from .model import Scenario, compute_sinr, power_budget, sort_users
+from .model import Scenario, power_budget, sort_users
 from .pipeline import run_two_phase
 from .units import db_to_linear, dbm_to_watts, linear_to_db
 
@@ -258,20 +258,15 @@ def run_fig4(model: ChannelModel, n: int, threshold_range_db: tuple[float, float
     point_model = replace(model, num_sus=int(n))
     scenario = draw_scenario(point_model, run_seed(seed, "fig4", 1), target_db)
     outcome = run_two_phase(scenario, solver="waterfill", epsilon=epsilon)
-    result = outcome.admission
-    powers = result.full_powers()
-    if outcome.maxmin is not None:
-        powers[: result.admitted_count] = outcome.maxmin.powers
-    achieved = compute_sinr(scenario, powers)
     sorted_targets_db = linear_to_db(scenario.su_thresholds)
     rows = []
     for i in range(scenario.n_sus):
-        admitted = i < result.admitted_count
+        admitted = i < outcome.admission.admitted_count
         rows.append(SnapshotRow(
             user_index=int(scenario.order[i]),
             gain=float(scenario.su_gains[i]),
             target_db=float(sorted_targets_db[i]),
-            achieved_db=float(linear_to_db(achieved[i])) if admitted else None,
+            achieved_db=float(linear_to_db(outcome.maxmin.achieved_sinr[i])) if admitted else None,
             admitted=admitted,
         ))
     return rows

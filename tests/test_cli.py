@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from noma_crn import Scenario, ScenarioParseError
+from noma_crn import Scenario, ScenarioParseError, cli, read_scenario, write_scenario
 from noma_crn.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -13,8 +13,6 @@ from noma_crn.cli import (
     EXIT_USAGE,
     main,
     parse_config,
-    read_scenario,
-    write_scenario,
 )
 from noma_crn.oracle import MAX_GRID_ARRAY_POINTS
 
@@ -205,10 +203,60 @@ class TestMainExitCodes:
         assert main(["maxmin", "--scenario", path]) == EXIT_OK
         assert "0 admitted" in capsys.readouterr().out
 
+    def test_empty_scenario_maxmin_csv_is_header_only(self, tmp_path, capsys):
+        path = write_text(tmp_path / "empty.txt", "noise_dbm -120\npmax_dbm 20\nsu -200 5\n")
+        assert main(["maxmin", "--scenario", path, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "solver,theta_linear,theta_db,iterations,user_index,power_w,achieved_db\n")
+
+    def test_verify_has_no_format_flag(self, scenario_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", scenario_file, "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--format" in capsys.readouterr().err
+
+    def test_verify_has_no_format_config_key(self, tmp_path, scenario_file, capsys):
+        cfg_path = write_text(tmp_path / "c.json", json.dumps({"format": "csv"}))
+        assert main(["verify", "--scenario", scenario_file, "--config", cfg_path]) == EXIT_PARSE
+        assert "unknown config keys: format" in capsys.readouterr().err
+
     def test_verify_passes_on_small_scenario(self, scenario_file, capsys):
         assert main(["verify", "--scenario", scenario_file]) == EXIT_OK
         out = capsys.readouterr().out
         assert "agree" in out and "PASS" in out
+
+
+class TestEveryAcceptedOptionIsRead:
+    # An option a subcommand or experiment accepts but never reads would be a
+    # silent no-op; each run below must read every accepted option at least once.
+    @pytest.mark.parametrize("argv", [
+        ["admit"],
+        ["maxmin"],
+        ["verify"],
+        SIM_FIG2 + ["--runs", "5"],
+        SIM_SMALL + ["--experiment", "fig3", "--pus", "0", "--runs", "5"],
+        SIM_FIG4,
+    ], ids=["admit", "maxmin", "verify", "fig2", "fig3", "fig4"])
+    def test_run_reads_every_accepted_option(self, monkeypatch, scenario_file, capsys, argv):
+        if argv[0] != "simulate":
+            argv = [argv[0], "--scenario", scenario_file, *argv[1:]]
+        reads = set()
+
+        class Recorder:
+            def __init__(self, cfg):
+                self._cfg = cfg
+
+            def __getattr__(self, name):
+                reads.add(name)
+                return getattr(self._cfg, name)
+
+        real_parse = cli.parse_config
+        cfg = real_parse(argv)
+        monkeypatch.setattr(cli, "parse_config", lambda args=None: Recorder(real_parse(args)))
+        assert main(argv) == EXIT_OK
+        scope = cfg.experiment or cfg.command
+        accepted = {opt.name for opt in cli._OPTIONS if scope in opt.commands}
+        assert accepted - reads == set()
 
 
 class TestMaxminCommand:

@@ -1,8 +1,11 @@
 """Golden outputs: the exact bytes each subcommand writes for fixed inputs.
 
-The expected texts were recorded from the CLI before its option handling was
-rebuilt around one option table; any change to a byte here is a change in
-what users see and must be declared.
+The first seven rows were recorded from the CLI before its option handling
+was rebuilt around one option table, and the table and nobody-admitted rows
+before the subcommands began returning their output lines; any change to a
+byte here is a change in what users see and must be declared.
+``MAXMIN_NOBODY_CSV`` is one such declared change: a CSV with nobody admitted
+is its header alone.
 """
 
 import pytest
@@ -109,6 +112,10 @@ MAXMIN_NOBODY_TABLE = """\
 0 admitted of 1; phase 2 skipped
 """
 
+MAXMIN_NOBODY_CSV = """\
+solver,theta_linear,theta_db,iterations,user_index,power_w,achieved_db
+"""
+
 VERIFY_NOBODY = """\
 phase 1: greedy admitted 0, exhaustive best 0 -> agree
 phase 2: nobody admitted; nothing to verify
@@ -167,6 +174,7 @@ CASES = {
     "admit_table": (["admit"], ADMIT_TABLE),
     "admit_nobody": (["admit", *_NOBODY], ADMIT_NOBODY_TABLE),
     "maxmin_nobody": (["maxmin", *_NOBODY], MAXMIN_NOBODY_TABLE),
+    "maxmin_nobody_csv": (["maxmin", *_NOBODY, "--format", "csv"], MAXMIN_NOBODY_CSV),
     "verify_nobody": (["verify", *_NOBODY], VERIFY_NOBODY),
     "fig2_table": ([*_FIG2, "--format", "table"], FIG2_TABLE),
     "fig4_table": ([*_FIG4, "--format", "table"], FIG4_TABLE),

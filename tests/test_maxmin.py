@@ -120,6 +120,15 @@ class TestFeasible:
         with pytest.raises(ValueError):
             feasible(unit_pair(), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_budget_or_theta(self, bad):
+        with pytest.raises(ValueError, match="budget"):
+            feasible(unit_pair(), 1.0, bad)
+        with pytest.raises(ValueError, match="theta"):
+            feasible(unit_pair(), bad, 1.0)
+        with pytest.raises(ValueError, match="theta"):
+            total_power_curve(unit_pair(), bad)
+
 
 class TestSolversOnKnownInstances:
     def test_quadratic_root_budget_seven(self, two_equal_users):
