@@ -179,8 +179,15 @@ def _accepts(command: str, opt: _Option) -> bool:
     return any(scope in opt.commands for scope in scopes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a flag argparse rejects into a UsageError, so ``main`` returns 2."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noma-crn",
         description="Two-phase NOMA power allocation under primary-user interference limits.",
     )
@@ -217,8 +224,9 @@ def parse_config(argv=None) -> RunConfig:
 
     Precedence: explicit flag > config file > NOMA_CRN_SEED (seed only) >
     built-in default. Every value passes its option's check whatever its
-    source. Raises UsageError on a bad or missing value or on a value the
-    chosen experiment does not read, ScenarioParseError on an unreadable
+    source. Raises UsageError on a flag the parser rejects, a bad or missing
+    value or a value the chosen experiment does not read (``--help`` still
+    exits through argparse), ScenarioParseError on an unreadable
     config file, malformed JSON or an unknown key.
     """
     ns = _build_parser().parse_args(argv)

@@ -19,12 +19,15 @@ Two independent solvers are provided and must agree:
   bottom, flooding the lowest SINRs upward. S(theta) is continuous and
   strictly increasing beyond the smallest threshold, so the segment
   containing S^{-1}(P_s) is located by scanning breakpoints and the level
-  inside it by scalar bisection.
+  inside it by a safeguarded Newton root on log S against log theta, whose
+  slope comes from the same walk. It returns the largest float theta with
+  S(theta) <= P_s, in under ten walks on average where bisection takes ~75.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +96,12 @@ def feasible(scenario: Scenario, t: float, budget: float) -> bool:
 
 
 def _check_phase2_inputs(scenario: Scenario, budget: float,
-                         epsilon: float) -> tuple[list[float], list[float], float]:
-    """Thresholds and N_n/G_n as the walk's float lists, and S at the thresholds."""
+                         epsilon: float) -> tuple[list[float], list[float],
+                                               tuple[list[float], float]]:
+    """Thresholds and N_n/G_n as the walk's float lists, and the walk at the thresholds.
+
+    That walk is also the walk at theta = min(thresholds), where S starts to rise.
+    """
     if scenario.n_sus == 0:
         raise ValueError("phase 2 is undefined for an empty admitted set")
     _check_budget(budget)
@@ -102,13 +109,14 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
         raise ValueError("epsilon must be strictly positive and finite")
     thresholds = scenario.su_thresholds.tolist()
     over_gain = scenario.noise_over_gain.tolist()
-    _, required = _equality_walk(thresholds, over_gain)
+    walk = _equality_walk(thresholds, over_gain)
+    required = walk[1]
     if required > budget:
         raise InfeasibleError(
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    return thresholds, over_gain, required
+    return thresholds, over_gain, walk
 
 
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
@@ -125,11 +133,12 @@ def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
 
 def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
                 lo: float, hi: float) -> float:
-    """Solve S(theta) = budget on [lo, hi] by scalar bisection.
+    """Bisection's last step: solve S(theta) = budget on [lo, hi] by scalar bisection.
 
     Requires S(lo) <= budget <= S(hi); returns the certified-feasible side of
     an interval narrowed to float resolution, so S(root) <= budget with the
-    shortfall at summation-roundoff level.
+    shortfall at summation-roundoff level. Only :func:`solve_bisection` uses
+    it; water-filling has its own root, so the two solvers cross-check.
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -142,6 +151,117 @@ def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
         if hi - lo <= 1e-15 * max(1.0, abs(lo)):
             break
     return lo
+
+
+def _float_bits(x: float) -> int:
+    # For non-negative floats the bit pattern orders like the value, and
+    # consecutive integers are consecutive floats.
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _log_slope(thresholds: list[float], base: float, theta: float,
+               powers: list[float]) -> float:
+    """theta * S'(theta) inside the segment above ``base``, from the walk's powers.
+
+    Reverse chain rule: the total after user n grows as (1 + lambda_n) per
+    later user, and d(total_n)/d(lambda_n) = P_n / lambda_n, so
+    theta * S' = sum over floored users (lambda_n = theta) of
+    P_n * prod_{m>n} (1 + lambda_m).
+    """
+    slope = 0.0
+    growth = 1.0
+    for target, power in zip(reversed(thresholds), reversed(powers)):
+        if target <= base:
+            slope += power * growth
+        growth *= 1.0 + (target if target > theta else theta)
+    return slope
+
+
+def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
+                 lo: float, hi: float, walk: tuple[list[float], float]) -> float:
+    """Largest float theta in [lo, hi) with S(theta) <= budget.
+
+    ``walk`` is the unbudgeted walk at ``lo``, which fits; ``hi`` does not
+    fit, or lies one float past the lone-user bound. No threshold lies
+    strictly inside [lo, hi], so S is a polynomial in theta with
+    nonnegative coefficients there: S is convex in theta and log S is convex
+    in log theta, and a Newton step on either never lands below the root.
+    Each step takes the nearer of the two, aimed half an ulp above the
+    budget: where S is flat, many floats give S == budget and the root is the
+    last of them. Every probe narrows the bracket [lo, hi]; a step that
+    leaves it, or an S(theta) that overflows, takes the geometric midpoint.
+    """
+    base = lo
+    theta = lo
+    powers, total = walk
+    half_ulp = 0.5 * math.ulp(budget)
+    stride = 1
+    for _ in range(100):
+        slope = _log_slope(thresholds, base, theta, powers)  # inf or nan if S overflowed
+        if 0.0 < slope < math.inf:
+            step = theta * min(math.expm1((math.log(budget / total) + half_ulp / budget)
+                                          * (total / slope)),
+                               (budget - total + half_ulp) / slope)
+            # Convergence is tested before the bracket: a last step that rounds
+            # onto an end must not restart the search from the far end.
+            if abs(step) <= 4e-16 * theta:
+                # Floats per ulp of S: how far the flat run of S == budget reaches.
+                stride = int(min(max(1.0, math.ulp(budget) * theta / (slope * math.ulp(theta))),
+                                 2.0 ** 52))
+                theta += step
+                break
+            theta += step
+        if not lo < theta < hi:
+            theta = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < theta < hi:
+                break
+        powers, total = _equality_walk(thresholds, over_gain, floor=theta)
+        if total <= budget:
+            lo = theta
+        else:
+            hi = theta
+    return _last_fit(thresholds, over_gain, budget, lo, hi, theta, stride)
+
+
+def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
+              lo: float, hi: float, theta: float, stride: int) -> float:
+    """Largest float in [lo, hi) that fits, given that lo fits and hi does not.
+
+    Probes ``theta``, gallops from it toward the other end of the bracket in
+    strides of ``stride``, 2 * ``stride``, 4 * ``stride``... floats, then
+    bisects the bracket over float bit patterns. S is monotone in floating
+    point too, so the answer does not depend on where the search started.
+    """
+    fit, miss = _float_bits(lo), _float_bits(hi)
+    start = min(max(_float_bits(theta), fit), miss)
+    if fit < start < miss:
+        if _fits(thresholds, over_gain, budget, _bits_float(start)):
+            fit = start
+        else:
+            miss = start
+    upward = start == fit
+    while miss - fit > stride:
+        probe = fit + stride if upward else miss - stride
+        if _fits(thresholds, over_gain, budget, _bits_float(probe)):
+            fit = probe
+            if not upward:
+                break
+        else:
+            miss = probe
+            if upward:
+                break
+        stride *= 2
+    while miss - fit > 1:
+        mid = (fit + miss) // 2
+        if _fits(thresholds, over_gain, budget, _bits_float(mid)):
+            fit = mid
+        else:
+            miss = mid
+    return _bits_float(fit)
 
 
 def _assemble(scenario: Scenario, budget: float, theta_star: float, level: float,
@@ -198,11 +318,13 @@ def solve_waterfill(scenario: Scenario, budget: float,
 
     S(theta) is piecewise polynomial with breakpoints at the distinct
     thresholds and strictly increasing past the smallest one. Scan the
-    breakpoints for the segment holding S^{-1}(P_s), then bisect inside it
-    (well below ``epsilon``; the interval collapses to float resolution).
-    ``iterations`` reports how many threshold levels were fully flooded.
+    breakpoints for the segment holding S^{-1}(P_s), then find the level
+    inside it by a safeguarded Newton root (:func:`_newton_root`):
+    ``theta_star`` is the largest float with S(theta) <= P_s, so it does not
+    depend on ``epsilon`` or on the search path. ``iterations`` reports how
+    many threshold levels were fully flooded.
     """
-    thresholds, over_gain, required = _check_phase2_inputs(scenario, budget, epsilon)
+    thresholds, over_gain, walk = _check_phase2_inputs(scenario, budget, epsilon)
     if scenario.n_sus == 1:
         # Degenerate case: the whole budget goes to the only user, exactly.
         # Clamping repairs the 1-ulp dip below the threshold that float
@@ -218,7 +340,7 @@ def solve_waterfill(scenario: Scenario, budget: float,
             iterations=0,
             solver="waterfill",
         )
-    if budget == required:
+    if budget == walk[1]:
         # Zero slack: everyone stays at their threshold.
         theta = float(np.min(scenario.su_thresholds))
         return _assemble(scenario, budget, theta, theta, 0, "waterfill")
@@ -228,15 +350,20 @@ def solve_waterfill(scenario: Scenario, budget: float,
     hi = None
     for k in range(1, len(breakpoints)):
         level = float(breakpoints[k])
-        if _fits(thresholds, over_gain, budget, level):
+        # The budgeted walk reaches the last user exactly when S(level) fits,
+        # and then it is the full walk at ``level``, kept to start Newton from.
+        probe = _equality_walk(thresholds, over_gain, budget, level)
+        if len(probe[0]) == len(thresholds):
             lo = level
+            walk = probe
             flooded = k
         else:
             hi = level
             break
     if hi is None:
-        # Above every threshold: cap with the lone-user SINR bound.
+        # Above every threshold: cap with the lone-user SINR bound, which
+        # may itself fit, so the bracket ends one float past it.
         flooded = len(breakpoints) - 1
-        hi = max(_sinr_upper_bound(scenario, budget), lo)
-    theta = _level_root(thresholds, over_gain, budget, lo, hi)
+        hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
+    theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     return _assemble(scenario, budget, theta, theta, flooded, "waterfill")

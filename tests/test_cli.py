@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from noma_crn.cli import (
     parse_config,
 )
 from noma_crn.oracle import MAX_GRID_ARRAY_POINTS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_text(path, text):
@@ -210,10 +216,23 @@ class TestMainExitCodes:
             "solver,theta_linear,theta_db,iterations,user_index,power_w,achieved_db\n")
 
     def test_verify_has_no_format_flag(self, scenario_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--scenario", scenario_file, "--format", "csv"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["verify", "--scenario", scenario_file, "--format", "csv"]) == EXIT_USAGE
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["admit", "--scenaro", "x.txt"], ["solve"], []],
+                             ids=["misspelt-flag", "unknown-command", "no-command"])
+    def test_flags_argparse_rejects_return_usage(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage: noma-crn" in err
+
+    def test_python_m_noma_crn_help_exits_zero(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "noma_crn", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: noma-crn")
 
     def test_verify_has_no_format_config_key(self, tmp_path, scenario_file, capsys):
         cfg_path = write_text(tmp_path / "c.json", json.dumps({"format": "csv"}))

@@ -14,6 +14,7 @@ from noma_crn import (
     solve_waterfill,
     total_power_curve,
 )
+from noma_crn import maxmin
 from noma_crn.model import _equality_walk
 
 from conftest import random_admitted_instance
@@ -250,3 +251,92 @@ class TestSolverProperties:
         assert solve_waterfill(s, 7.0).iterations == 0
         # theta* beyond the top level: the one step up to it was completed.
         assert solve_waterfill(s, 9.0).iterations == 1
+
+
+def _record_walks(monkeypatch) -> list:
+    """S(theta) of every equality walk the solvers run, in call order."""
+    totals = []
+
+    def recording(*args, **kwargs):
+        powers, total = _equality_walk(*args, **kwargs)
+        totals.append(total)
+        return powers, total
+
+    monkeypatch.setattr(maxmin, "_equality_walk", recording)
+    return totals
+
+
+def _lone_user_bound(scenario: Scenario, budget: float) -> float:
+    return max(float(np.max(budget * scenario.su_gains / scenario.su_noise)),
+               float(np.min(scenario.su_thresholds)))
+
+
+#: S(theta) evaluations allowed per water-filling solve, the threshold check
+#: and the closing allocation included.
+MAX_WALKS_PER_SOLVE = 20
+
+
+class TestWaterfillRoot:
+    def _check_canonical(self, scenario, budget, walks) -> int:
+        """Check one water-filling solve; returns the walks it ran."""
+        walks.clear()
+        theta = solve_waterfill(scenario, budget).theta_star
+        count = len(walks)
+        assert feasible(scenario, theta, budget)
+        if theta != _lone_user_bound(scenario, budget):
+            assert not feasible(scenario, math.nextafter(theta, math.inf), budget)
+        b = solve_bisection(scenario, budget)
+        assert abs(theta - b.theta_star) <= 2 * maxmin.DEFAULT_EPSILON + 1e-12 * theta
+        return count
+
+    def test_theta_is_the_largest_fitting_float(self, monkeypatch):
+        # Mixed thresholds put the root in every kind of segment; x1.5 and
+        # x1e3 reach the top one, x(1 + 1e-12) a budget one step away.
+        rng = np.random.default_rng(2024)
+        walks = _record_walks(monkeypatch)
+        worst = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 41))
+            gains = np.sort(10 ** rng.uniform(-8, -3, n))[::-1]
+            if rng.random() < 0.5:
+                noise = 10 ** rng.uniform(-16, -12, n)
+            else:
+                noise = np.full(n, 10 ** rng.uniform(-16, -12))
+            thresholds = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], n) / 10)
+            scenario = Scenario(gains, noise, thresholds, [], [], 1.0)
+            required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
+            base = required * 10 ** rng.uniform(0.0, 1.0)
+            for factor in (1.0, 1.0 + 1e-12, 1.5, 1e3):
+                worst = max(worst, self._check_canonical(scenario, base * factor, walks))
+        assert worst <= MAX_WALKS_PER_SOLVE
+
+    @pytest.mark.parametrize("threshold_db", [0.0, -20.0])
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_overflowing_top_of_bracket(self, n, threshold_db, monkeypatch):
+        # The top of the bracket, the lone-user bound, is ~1e20 and S there
+        # overflows to inf. At -20 dB the first Newton step from the bottom
+        # also lands where S overflows, and the root must fall back to
+        # geometric midpoints until S is finite again.
+        rng = np.random.default_rng(n)
+        gains = np.sort(10 ** rng.uniform(2, 6, n))[::-1]
+        thresholds = np.full(n, 10 ** (threshold_db / 10))
+        scenario = Scenario(gains, np.full(n, 1e-15), thresholds, [], [], 0.1)
+        assert total_power_curve(scenario, _lone_user_bound(scenario, 0.1)) == math.inf
+        walks = _record_walks(monkeypatch)
+        assert self._check_canonical(scenario, 0.1, walks) <= MAX_WALKS_PER_SOLVE
+        if threshold_db < 0.0:
+            assert math.inf in walks
+
+    def test_fewer_walks_than_bisection(self, monkeypatch):
+        # Bisection runs its fixed halvings and then its own _level_root.
+        rng = np.random.default_rng(8)
+        walks = _record_walks(monkeypatch)
+        for _ in range(20):
+            scenario, budget = random_admitted_instance(rng, max_users=12)
+            walks.clear()
+            b = solve_bisection(scenario, 2.0 * budget)
+            bisection_walks = len(walks)
+            assert bisection_walks > b.iterations
+            walks.clear()
+            solve_waterfill(scenario, 2.0 * budget)
+            assert len(walks) <= MAX_WALKS_PER_SOLVE < bisection_walks
