@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,22 @@ class MaxMinSolution:
     achieved_sinr: np.ndarray
     iterations: int
     solver: str
+
+
+class _PrefixView(NamedTuple):
+    """The per-user arrays phase 2 reads from a Scenario, for an admitted prefix
+    held as slices of (runs, N) rows: :func:`solve_waterfill` takes it in place
+    of ``Scenario.prefix(count)``, with no Scenario built per run.
+    """
+
+    su_gains: np.ndarray
+    su_noise: np.ndarray
+    su_thresholds: np.ndarray
+    noise_over_gain: np.ndarray
+
+    @property
+    def n_sus(self) -> int:
+        return len(self.su_gains)
 
 
 def min_power_for_targets(scenario: Scenario, targets) -> tuple[float, np.ndarray]:
@@ -122,8 +139,7 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
           theta: float) -> bool:
     """S(theta) <= budget: the budgeted walk at floor theta reaches the last user."""
-    powers, _ = _equality_walk(thresholds, over_gain, budget, theta)
-    return len(powers) == len(thresholds)
+    return _equality_walk(thresholds, over_gain, budget, theta, keep=False)[0]
 
 
 def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
@@ -264,11 +280,11 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     return _bits_float(fit)
 
 
-def _assemble(scenario: Scenario, budget: float, theta_star: float, level: float,
-              iterations: int, solver: str) -> MaxMinSolution:
+def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float],
+              budget: float, theta_star: float, level: float, iterations: int,
+              solver: str) -> MaxMinSolution:
     """Powers at targets max(level, thresholds), budget closed on the last user."""
-    powers, _ = _equality_walk(scenario.su_thresholds.tolist(),
-                               scenario.noise_over_gain.tolist(), floor=level)
+    powers, _ = _equality_walk(thresholds, over_gain, floor=level)
     powers = np.asarray(powers)
     # Fold the (roundoff-level) residual into the weakest user so the budget
     # is spent exactly; only its own SINR moves, and only by ~1 ulp.
@@ -309,7 +325,8 @@ def solve_bisection(scenario: Scenario, budget: float,
             hi = t
     theta_star = lo
     level = _level_root(thresholds, over_gain, budget, lo, hi)
-    return _assemble(scenario, budget, theta_star, level, iterations, "bisection")
+    return _assemble(scenario, thresholds, over_gain, budget, theta_star, level, iterations,
+                     "bisection")
 
 
 def solve_waterfill(scenario: Scenario, budget: float,
@@ -321,8 +338,9 @@ def solve_waterfill(scenario: Scenario, budget: float,
     breakpoints for the segment holding S^{-1}(P_s), then find the level
     inside it by a safeguarded Newton root (:func:`_newton_root`):
     ``theta_star`` is the largest float with S(theta) <= P_s, so it does not
-    depend on ``epsilon`` or on the search path. ``iterations`` reports how
-    many threshold levels were fully flooded.
+    depend on ``epsilon`` or on the search path; a budget with no slack
+    takes the same path. ``iterations`` reports how many threshold levels
+    were fully flooded. ``scenario`` may also be a :class:`_PrefixView`.
     """
     thresholds, over_gain, walk = _check_phase2_inputs(scenario, budget, epsilon)
     if scenario.n_sus == 1:
@@ -340,16 +358,12 @@ def solve_waterfill(scenario: Scenario, budget: float,
             iterations=0,
             solver="waterfill",
         )
-    if budget == walk[1]:
-        # Zero slack: everyone stays at their threshold.
-        theta = float(np.min(scenario.su_thresholds))
-        return _assemble(scenario, budget, theta, theta, 0, "waterfill")
-    breakpoints = np.unique(scenario.su_thresholds)  # ascending
+    breakpoints = sorted(set(thresholds))
     flooded = 0
-    lo = float(breakpoints[0])
+    lo = breakpoints[0]
     hi = None
     for k in range(1, len(breakpoints)):
-        level = float(breakpoints[k])
+        level = breakpoints[k]
         # The budgeted walk reaches the last user exactly when S(level) fits,
         # and then it is the full walk at ``level``, kept to start Newton from.
         probe = _equality_walk(thresholds, over_gain, budget, level)
@@ -366,4 +380,4 @@ def solve_waterfill(scenario: Scenario, budget: float,
         flooded = len(breakpoints) - 1
         hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
     theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
-    return _assemble(scenario, budget, theta, theta, flooded, "waterfill")
+    return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, "waterfill")

@@ -42,14 +42,16 @@ def _check_budget(budget: float) -> None:
         raise ValueError("budget must be strictly positive and finite")
 
 
-def _equality_walk(targets, costs, budget: float = math.inf,
-                   floor: float = 0.0) -> tuple[list[float], float]:
+def _equality_walk(targets, costs, budget: float = math.inf, floor: float = 0.0,
+                   keep: bool = True) -> tuple[list[float] | bool, float]:
     """The equality allocation both phases share: SINR exactly lambda_n per user.
 
     P_n = lambda_n * total + lambda_n * c_n in order, with lambda_n = max(target_n,
     floor), c_n = N_n/G_n and ``total`` the power before user n. Stops before the
     first user with ``total + P_n > budget``; returns the walked powers and total.
     Every P_n >= 0, so the walk reaches the end exactly when the full total fits.
+    With ``keep`` false no list is built, and the first item is instead whether
+    the walk reached the end: the fit test of a phase-2 probe.
     """
     powers = []
     total = 0.0
@@ -57,17 +59,63 @@ def _equality_walk(targets, costs, budget: float = math.inf,
         lam = target if target > floor else floor
         power = lam * total + lam * cost
         if total + power > budget:
-            break
-        powers.append(power)
+            return (powers if keep else False), total
+        if keep:
+            powers.append(power)
         total += power
-    return powers, total
+    return (powers if keep else True), total
+
+
+def _equality_rows(targets, costs, budget=math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_equality_walk` at floor 0 on every row of (R, N) arrays at once.
+
+    ``targets`` broadcasts to the shape of ``costs`` and ``budget`` to (R,). A
+    column at a time, in the walk's operation order, each row runs
+    P_n = lambda_n * total + lambda_n * c_n and stops before its first user with
+    ``total + P_n > budget``. Returns the walked powers, zero past where each row
+    stopped, and each row's count of walked users: row r equals the walk on row
+    r's lists bit for bit.
+    """
+    costs = np.asarray(costs, dtype=float)
+    targets = np.broadcast_to(targets, costs.shape)
+    powers = np.zeros(costs.shape)
+    total = np.zeros(costs.shape[0])
+    counts = np.zeros(costs.shape[0], dtype=int)
+    walking = np.ones(costs.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic, as in the walk
+        for n in range(costs.shape[1]):
+            lam = targets[:, n]
+            power = lam * total + lam * costs[:, n]
+            walking &= ~(total + power > budget)
+            if not walking.any():
+                break
+            powers[:, n] = np.where(walking, power, 0.0)
+            total = np.where(walking, total + power, total)
+            counts += walking
+    return powers, counts
+
+
+def _positive_rows(*arrays) -> np.ndarray:
+    """Per row, whether every entry of every array is strictly positive and finite.
+
+    Scenario's entry rule over the last axis; a 1-D array is one row.
+    """
+    ok = np.True_
+    for arr in arrays:
+        ok = ok & (np.isfinite(arr) & (arr > 0.0)).all(axis=-1)
+    return ok
+
+
+def _budgets(pu_gains, pu_limits, p_max: float):
+    """min(min_m I_m/g_m, p_max) over the last axis; p_max alone with no PUs."""
+    return np.minimum(np.min(pu_limits / pu_gains, axis=-1, initial=math.inf), p_max)
 
 
 def _as_positive_array(name: str, values) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
+    if not _positive_rows(arr):
         raise ValueError(f"{name} entries must be strictly positive and finite")
     arr.flags.writeable = False
     return arr
@@ -230,7 +278,7 @@ def power_budget(scenario: Scenario) -> float:
     """
     if scenario.n_pus == 0:
         return scenario.p_max
-    return float(min(np.min(scenario.pu_interference_limits / scenario.pu_gains), scenario.p_max))
+    return float(_budgets(scenario.pu_gains, scenario.pu_interference_limits, scenario.p_max))
 
 
 def read_scenario(path: str) -> Scenario:

@@ -8,8 +8,16 @@ R*sqrt(u) so density is uniform in area) and forms gains as
 with lognormal shadowing H ~ N(0, sigma_db) and distances clipped below at
 ``min_distance`` to keep D^(-alpha) bounded. Every run is a pure function of
 its seed: per-run seeds are derived from (master seed, experiment id, grid
-indices, run index) through ``numpy.random.SeedSequence``, so results are
-reproducible and independent of execution order or worker count.
+indices, run index) through ``numpy.random.SeedSequence``.
+
+A grid point's runs are solved together: each run draws into its own row of
+(runs, N) arrays, and gains, sorting, checks, budgets, admission and the PU
+audit then run once per block of rows, in the same floating-point operations
+as :func:`draw_scenario`, :func:`~noma_crn.model.power_budget` and
+:func:`~noma_crn.admission.admit` on one run. Phase 2 solves each admitting
+row with :func:`~noma_crn.maxmin.solve_waterfill`, and the SINR means are
+summed run by run. Results are therefore reproducible and do not depend on
+the block size, execution order or worker count.
 
 The experiment drivers sweep a common targeted SINR over a grid of requesting
 user counts (admission statistics, and optionally the phase-2 SINR uplift) or
@@ -18,14 +26,15 @@ produce a single per-user snapshot for heterogeneous targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .admission import admit
-from .maxmin import DEFAULT_EPSILON, solve_waterfill
-from .model import Scenario, power_budget, sort_users
+from .maxmin import DEFAULT_EPSILON, _PrefixView, solve_waterfill
+from .model import (Scenario, _budgets, _check_budget, _equality_rows, _positive_rows,
+                    power_budget, sort_users)
 from .pipeline import run_two_phase
 from .units import db_to_linear, dbm_to_watts, linear_to_db
 
@@ -45,6 +54,10 @@ _EXPERIMENT_IDS = {"fig2": 2, "fig3": 3, "fig4": 4}
 
 #: Relative tolerance for the per-run primary-user interference audit.
 AUDIT_RTOL = 1e-9
+
+#: Runs drawn and solved together as one block of (runs, N) rows. It bounds
+#: the kernel's memory whatever the run count; results do not depend on it.
+_CHUNK_RUNS = 1024
 
 
 @dataclass(frozen=True)
@@ -122,9 +135,16 @@ def channel_gain(model: ChannelModel, distance_m, shadow_db):
     return model.system_constant_k * db_to_linear(shadow_db) * d ** (-model.path_loss_exponent)
 
 
-def _disk_radii(rng: np.random.Generator, count: int, model: ChannelModel) -> np.ndarray:
-    radii = model.cell_radius * np.sqrt(rng.random(count))
-    return np.maximum(radii, model.min_distance)
+def _disk_radii(model: ChannelModel, uniforms) -> np.ndarray:
+    return np.maximum(model.cell_radius * np.sqrt(uniforms), model.min_distance)
+
+
+def _draw(rng: np.random.Generator, model: ChannelModel):
+    """One run's raw draws, in their fixed order: SU radii, SU shadowing, PU
+    radii, PU shadowing (radii as the uniforms they come from)."""
+    sigma = model.shadowing_sigma_db
+    return (rng.random(model.num_sus), rng.normal(0.0, sigma, model.num_sus),
+            rng.random(model.num_pus), rng.normal(0.0, sigma, model.num_pus))
 
 
 def run_seed(master_seed: int, experiment: str | int, *indices: int) -> np.random.SeedSequence:
@@ -138,30 +158,73 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
 
     ``threshold_db`` (scalar or per-user array, pre-sort order) sets the SINR
     targets; the channel model itself carries no target, since experiments
-    sweep it. Draw order is fixed: SU radii, SU shadowing, PU radii, PU
-    shadowing.
+    sweep it. The draws come from ``_draw``, in its fixed order.
     """
-    rng = np.random.default_rng(rng_seed)
-    su_r = _disk_radii(rng, model.num_sus, model)
-    su_shadow = rng.normal(0.0, model.shadowing_sigma_db, model.num_sus)
-    pu_r = _disk_radii(rng, model.num_pus, model)
-    pu_shadow = rng.normal(0.0, model.shadowing_sigma_db, model.num_pus)
+    su_u, su_shadow, pu_u, pu_shadow = _draw(np.random.default_rng(rng_seed), model)
     thresholds = np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,))
     return sort_users(
-        channel_gain(model, su_r, su_shadow),
+        channel_gain(model, _disk_radii(model, su_u), su_shadow),
         np.full(model.num_sus, dbm_to_watts(model.su_noise_dbm)),
         thresholds,
-        pu_gains=channel_gain(model, pu_r, pu_shadow),
+        pu_gains=channel_gain(model, _disk_radii(model, pu_u), pu_shadow),
         pu_interference_limits=np.full(model.num_pus, dbm_to_watts(model.pu_interference_limit_dbm)),
         p_max=dbm_to_watts(model.p_max_dbm),
     )
 
 
-def _audit_violates(scenario: Scenario, full_powers: np.ndarray) -> bool:
-    if scenario.n_pus == 0:
-        return False
-    injected = full_powers.sum() * scenario.pu_gains
-    return bool(np.any(injected > scenario.pu_interference_limits * (1.0 + AUDIT_RTOL)))
+def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: float,
+                  with_phase2: bool):
+    """Draw, check, budget, admit, solve and audit one chunk of runs as (runs, N) rows.
+
+    Each run draws from its own seed into its row; everything after the draw
+    runs once for the chunk, in the operation order of the one-run functions
+    (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
+    ``solve_waterfill`` on the admitted prefix, the audit on the padded power
+    row), so every row's numbers equal that chain's bit for bit. A run that
+    fails a check raises the chain's error once the runs before it are done.
+    Returns the admitted-user count summed over runs, the audit violations,
+    and per run that admitted anyone its min and mean achieved SINR in dB.
+    """
+    n, m = model.num_sus, model.num_pus
+    su_u, su_shadow = np.empty((len(seeds), n)), np.empty((len(seeds), n))
+    pu_u, pu_shadow = np.empty((len(seeds), m)), np.empty((len(seeds), m))
+    for row, seed in enumerate(seeds):
+        su_u[row], su_shadow[row], pu_u[row], pu_shadow[row] = _draw(
+            np.random.default_rng(seed), model)
+    gains = channel_gain(model, _disk_radii(model, su_u), su_shadow)
+    gains = np.take_along_axis(gains, np.argsort(-gains, axis=1, kind="stable"), axis=1)
+    pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
+    noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
+    thresholds = np.full(n, db_to_linear(threshold_db))
+    limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
+    p_max = float(dbm_to_watts(model.p_max_dbm))
+    with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+        budgets = _budgets(pu_gains, limits, p_max)
+    shared_ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
+    ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
+    good = len(seeds) if ok.all() else int(np.argmin(ok))
+    refused = (gains[good], pu_gains[good]) if good < len(seeds) else None
+    gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
+
+    over_gain = noise / gains
+    powers, counts = _equality_rows(thresholds, over_gain, budgets)
+    sinr_db = []
+    if with_phase2:
+        for row in np.flatnonzero(counts):
+            k = counts[row]
+            view = _PrefixView(gains[row, :k], noise[:k], thresholds[:k], over_gain[row, :k])
+            solution = solve_waterfill(view, float(budgets[row]), epsilon)
+            powers[row, :k] = solution.powers
+            achieved_db = linear_to_db(solution.achieved_sinr)
+            sinr_db.append((float(np.min(achieved_db)), float(np.mean(achieved_db))))
+    injected = powers.sum(axis=1)[:, None] * pu_gains
+    violations = np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1)
+
+    if refused is not None:  # the error the one-run chain raises at this run
+        _check_budget(power_budget(Scenario(refused[0], noise, thresholds, refused[1],
+                                            limits, p_max)))
+        raise AssertionError("a run the batched checks refused passed the one-run checks")
+    return int(counts.sum()), int(np.count_nonzero(violations)), sinr_db
 
 
 def _grid_point_stats(args) -> ExperimentStats:
@@ -174,23 +237,18 @@ def _grid_point_stats(args) -> ExperimentStats:
     min_db_sum = 0.0
     all_db_sum = 0.0
     admitted_runs = 0
-    for run_index in range(runs):
-        seed = run_seed(master_seed, experiment, target_index, n_index, run_index)
-        scenario = draw_scenario(point_model, seed, target_db)
-        budget = power_budget(scenario)
-        result = admit(scenario, budget)
-        admitted_total += result.admitted_count
-        powers = result.full_powers()
-        if with_phase2 and result.admitted_count >= 1:
-            sub = scenario.prefix(result.admitted_count)
-            solution = solve_waterfill(sub, budget, epsilon)
-            powers[: result.admitted_count] = solution.powers
-            achieved_db = linear_to_db(solution.achieved_sinr)
-            min_db_sum += float(np.min(achieved_db))
-            all_db_sum += float(np.mean(achieved_db))
-            admitted_runs += 1
-        if _audit_violates(scenario, powers):
-            violations += 1
+    for start in range(0, runs, _CHUNK_RUNS):
+        seeds = [run_seed(master_seed, experiment, target_index, n_index, run_index)
+                 for run_index in range(start, min(start + _CHUNK_RUNS, runs))]
+        admitted, violated, sinr_db = _runs_as_rows(point_model, seeds, target_db, epsilon,
+                                                    with_phase2)
+        admitted_total += admitted
+        violations += violated
+        # Summed one run at a time in run order, so the means keep their bits.
+        for min_db, mean_db in sinr_db:
+            min_db_sum += min_db
+            all_db_sum += mean_db
+        admitted_runs += len(sinr_db)
     return ExperimentStats(
         target_sinr_db=float(target_db),
         n_requesting=n_requesting,

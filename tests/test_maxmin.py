@@ -272,11 +272,38 @@ def _lone_user_bound(scenario: Scenario, budget: float) -> float:
 
 
 #: S(theta) evaluations allowed per water-filling solve, the threshold check
-#: and the closing allocation included.
+#: and the closing allocation included, for budgets with slack: at least a
+#: factor 1 + 1e-12 above S at the thresholds and a fitting float not too
+#: near them (worst seen: 14).
 MAX_WALKS_PER_SOLVE = 20
+
+#: The same bound for budgets equal to S at the thresholds or 1e-12 above it.
+#: There the floored users can carry so small a share of S that S moves by
+#: one ulp only every ~1e5 floats, and the last step spends about log2 of that
+#: flat run's width (worst seen: 25 over 2,000 solves).
+MAX_WALKS_NEAR_ZERO_SLACK = 30
+
+
+def _random_instance(rng) -> tuple[Scenario, float]:
+    """2-40 users, thresholds from {0, 3, 6, 10, 20} dB, per-user or common
+    noise, and the total power at the thresholds."""
+    n = int(rng.integers(2, 41))
+    gains = np.sort(10 ** rng.uniform(-8, -3, n))[::-1]
+    if rng.random() < 0.5:
+        noise = 10 ** rng.uniform(-16, -12, n)
+    else:
+        noise = np.full(n, 10 ** rng.uniform(-16, -12))
+    thresholds = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], n) / 10)
+    scenario = Scenario(gains, noise, thresholds, [], [], 1.0)
+    required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
+    return scenario, required
 
 
 class TestWaterfillRoot:
+    """theta* is the largest float with S(theta*) <= budget on every branch, in
+    a bounded number of walks (MAX_WALKS_PER_SOLVE with slack,
+    MAX_WALKS_NEAR_ZERO_SLACK without)."""
+
     def _check_canonical(self, scenario, budget, walks) -> int:
         """Check one water-filling solve; returns the walks it ran."""
         walks.clear()
@@ -296,19 +323,27 @@ class TestWaterfillRoot:
         walks = _record_walks(monkeypatch)
         worst = 0
         for _ in range(1000):
-            n = int(rng.integers(2, 41))
-            gains = np.sort(10 ** rng.uniform(-8, -3, n))[::-1]
-            if rng.random() < 0.5:
-                noise = 10 ** rng.uniform(-16, -12, n)
-            else:
-                noise = np.full(n, 10 ** rng.uniform(-16, -12))
-            thresholds = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], n) / 10)
-            scenario = Scenario(gains, noise, thresholds, [], [], 1.0)
-            required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
+            scenario, required = _random_instance(rng)
             base = required * 10 ** rng.uniform(0.0, 1.0)
             for factor in (1.0, 1.0 + 1e-12, 1.5, 1e3):
                 worst = max(worst, self._check_canonical(scenario, base * factor, walks))
         assert worst <= MAX_WALKS_PER_SOLVE
+
+    @pytest.mark.parametrize("slack", [0.0, 1e-12])
+    def test_near_zero_slack(self, slack, monkeypatch):
+        # Budget == S at the thresholds (zero slack) or 1e-12 above it: often
+        # the floats just above the smallest threshold fit too, and theta*
+        # is the last of them, not the threshold itself.
+        rng = np.random.default_rng(6)
+        walks = _record_walks(monkeypatch)
+        worst = above = 0
+        for _ in range(1000):
+            scenario, required = _random_instance(rng)
+            budget = required * (1.0 + slack)
+            worst = max(worst, self._check_canonical(scenario, budget, walks))
+            above += solve_waterfill(scenario, budget).theta_star > min(scenario.su_thresholds)
+        assert worst <= MAX_WALKS_NEAR_ZERO_SLACK
+        assert above > 100
 
     @pytest.mark.parametrize("threshold_db", [0.0, -20.0])
     @pytest.mark.parametrize("n", [30, 60])

@@ -5,19 +5,71 @@ import pytest
 
 from noma_crn import (
     ChannelModel,
+    ExperimentStats,
+    Scenario,
     admit,
     channel_gain,
     draw_scenario,
+    linear_to_db,
     power_budget,
     run_fig2,
     run_fig3,
     run_fig4,
     run_seed,
+    solve_waterfill,
 )
+from noma_crn import montecarlo
+from noma_crn.maxmin import DEFAULT_EPSILON
+from noma_crn.model import _equality_rows, _equality_walk
 
 
 def small_model(n=6, m=0, **kw):
     return ChannelModel(num_sus=n, num_pus=m, **kw)
+
+
+def scalar_chain(experiment, model, targets_db, n_values, runs, master_seed,
+                 epsilon=DEFAULT_EPSILON):
+    """The sweep composed one run at a time from the public one-run functions:
+    run_seed -> draw_scenario -> power_budget -> admit -> prefix ->
+    solve_waterfill -> PU audit on the padded power vector."""
+    out = []
+    for ti, target_db in enumerate(targets_db):
+        for ni, n in enumerate(n_values):
+            point_model = dataclasses.replace(model, num_sus=n)
+            admitted = violations = admitted_runs = 0
+            min_db_sum = all_db_sum = 0.0
+            for run_index in range(runs):
+                seed = run_seed(master_seed, experiment, ti, ni, run_index)
+                scenario = draw_scenario(point_model, seed, target_db)
+                budget = power_budget(scenario)
+                result = admit(scenario, budget)
+                admitted += result.admitted_count
+                powers = result.full_powers()
+                if experiment == "fig3" and result.admitted_count:
+                    solution = solve_waterfill(scenario.prefix(result.admitted_count), budget,
+                                               epsilon)
+                    powers[: result.admitted_count] = solution.powers
+                    achieved_db = linear_to_db(solution.achieved_sinr)
+                    min_db_sum += float(np.min(achieved_db))
+                    all_db_sum += float(np.mean(achieved_db))
+                    admitted_runs += 1
+                injected = powers.sum() * scenario.pu_gains
+                limits = scenario.pu_interference_limits * (1.0 + montecarlo.AUDIT_RTOL)
+                violations += bool(np.any(injected > limits))
+            phase2 = experiment == "fig3"
+            out.append(ExperimentStats(
+                target_sinr_db=float(target_db), n_requesting=n, m_pus=model.num_pus,
+                runs=runs, master_seed=master_seed, mean_admitted=admitted / runs,
+                mean_min_achieved_sinr_db=(min_db_sum / admitted_runs
+                                           if phase2 and admitted_runs else None),
+                mean_all_achieved_sinr_db=(all_db_sum / admitted_runs
+                                           if phase2 and admitted_runs else None),
+                runs_with_admission=admitted_runs if phase2 else None,
+                audit_violations=violations))
+    return out
+
+
+SWEEPS = {"fig2": run_fig2, "fig3": run_fig3}
 
 
 class TestChannelGain:
@@ -128,6 +180,127 @@ class TestExperiments:
         model = small_model(n=6, m=3)
         stats = run_fig3(model, [10.0, 20.0], [6], runs=150, master_seed=23)
         assert sum(s.audit_violations for s in stats) == 0
+
+
+class TestRunBatchedKernel:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("experiment", ["fig2", "fig3"])
+    def test_equals_the_scalar_chain_bitwise(self, experiment, m, seed):
+        # 20 grid points per case, 240 over the table: 0 to 30 dB, 1 to 30
+        # users, with and without PUs, so rows stop at every column.
+        targets, n_values = [0.0, 8.0, 20.0, 30.0], [1, 2, 5, 12, 30]
+        model = small_model(m=m)
+        got = SWEEPS[experiment](model, targets, n_values, runs=40, master_seed=seed)
+        assert got == scalar_chain(experiment, model, targets, n_values, 40, seed)
+
+    def test_one_chunk_plus_one_run(self):
+        runs = montecarlo._CHUNK_RUNS + 1
+        model = small_model(m=1)
+        for experiment, sweep in SWEEPS.items():
+            got = sweep(model, [12.0], [4], runs=runs, master_seed=9)
+            assert got == scalar_chain(experiment, model, [12.0], [4], runs, 9)
+
+    def test_zero_users(self):
+        for experiment, sweep in SWEEPS.items():
+            got = sweep(small_model(m=2), [10.0], [0], runs=3, master_seed=4)
+            assert got == scalar_chain(experiment, small_model(m=2), [10.0], [0], 3, 4)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"path_loss_exponent": 400.0}, "su_gains entries"),
+        ({"su_noise_dbm": -1e6}, "su_noise entries"),
+        ({"pu_interference_limit_dbm": -1e6}, "pu_interference_limits entries"),
+        ({"p_max_dbm": float("inf")}, "p_max must be"),
+        # 2e-323 W over PU gains above 60: the budget underflows to 0.
+        ({"pu_interference_limit_dbm": -3197.0, "cell_radius": 2.0}, "budget must be"),
+    ])
+    def test_refused_draw_raises_the_scalar_error(self, field, message):
+        model = small_model(n=4, m=1, **field)
+        with pytest.raises(ValueError, match=message) as scalar:
+            scalar_chain("fig3", model, [10.0], [4], 3, 1)
+        with pytest.raises(ValueError, match=message) as batched:
+            run_fig3(model, [10.0], [4], runs=3, master_seed=1)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_first_failing_run_decides_the_error(self):
+        # 2000 dB shadowing: some runs draw gains that overflow or underflow
+        # and are refused, the others admit users, and with epsilon nan those
+        # fail in phase 2. Whichever run fails first decides the error.
+        model = small_model(n=3, m=1, shadowing_sigma_db=2000.0)
+        overtaken = 0
+        for seed in range(10):
+            errors = []
+            for epsilon in (float("nan"), DEFAULT_EPSILON):
+                try:
+                    scalar_chain("fig3", model, [0.0], [3], 4, seed, epsilon)
+                    expected = None
+                except ValueError as exc:
+                    expected = str(exc)
+                try:
+                    run_fig3(model, [0.0], [3], runs=4, master_seed=seed, epsilon=epsilon)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected
+                errors.append(expected)
+            # A phase-2 error in an early run hides a refused later run.
+            overtaken += errors[0].startswith("epsilon") and errors[1] is not None
+        assert overtaken
+
+    def test_audit_counts_like_the_scalar_chain(self, monkeypatch):
+        # At half the PU limits the audit fires in some runs and not others.
+        monkeypatch.setattr(montecarlo, "AUDIT_RTOL", -0.5)
+        model = small_model(m=2)
+        for experiment, sweep in SWEEPS.items():
+            got = sweep(model, [0.0, 20.0], [3, 12], runs=40, master_seed=8)
+            assert got == scalar_chain(experiment, model, [0.0, 20.0], [3, 12], 40, 8)
+            assert 0 < sum(s.audit_violations for s in got) < 4 * 40
+
+    def test_builds_no_scenario_per_run(self, monkeypatch):
+        built = []
+        original = Scenario.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        run_fig3(small_model(m=2), [5.0, 20.0], [5, 10], runs=30, master_seed=3)
+        run_fig2(small_model(m=2), [5.0, 20.0], [5, 10], runs=30, master_seed=3)
+        assert built == []
+
+
+class TestEqualityRows:
+    @pytest.mark.parametrize("budgeted", [True, False])
+    def test_each_row_is_the_scalar_walk(self, budgeted):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 7, 30):
+            rows = 64
+            targets = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], (rows, n)) / 10)
+            costs = 10 ** rng.uniform(-13, -9, (rows, n))
+            # The running totals after each user, as the walk adds them up.
+            totals = np.zeros((rows, n + 1))
+            for r in range(rows):
+                for k, power in enumerate(_equality_walk(targets[r].tolist(),
+                                                         costs[r].tolist())[0]):
+                    totals[r, k + 1] = totals[r, k] + power
+            # From nobody admitted through every stopping column to everyone;
+            # odd rows get a budget exactly equal to a running total, which
+            # admits that user (the walk stops only where the total exceeds it).
+            budgets = totals[:, -1] * 10 ** rng.uniform(-3, 0.5, rows) if budgeted else np.inf
+            if budgeted and n:
+                budgets[1::2] = totals[1::2, 1:][np.arange(rows // 2),
+                                                rng.integers(0, n, rows // 2)]
+            powers, counts = _equality_rows(targets, costs, budgets)
+            for r in range(rows):
+                budget = float(budgets[r]) if budgeted else np.inf
+                walked, _ = _equality_walk(targets[r].tolist(), costs[r].tolist(), budget)
+                assert counts[r] == len(walked)
+                assert powers[r, :counts[r]].tolist() == walked
+                assert not powers[r, counts[r]:].any()
+            if budgeted and n > 1:
+                assert len(set(counts.tolist())) > 2
 
 
 class TestSnapshot:
