@@ -245,7 +245,7 @@ class TestRunBatchedKernel:
                 assert got == expected
                 errors.append(expected)
             # A phase-2 error in an early run hides a refused later run.
-            overtaken += errors[0].startswith("epsilon") and errors[1] is not None
+            overtaken += str(errors[0]).startswith("epsilon") and errors[1] is not None
         assert overtaken
 
     def test_audit_counts_like_the_scalar_chain(self, monkeypatch):
