@@ -22,6 +22,12 @@ Two independent solvers are provided and must agree:
   inside it by a safeguarded Newton root on log S against log theta, whose
   slope comes from the same walk. It returns the largest float theta with
   S(theta) <= P_s, in under ten walks on average where bisection takes ~75.
+
+The Monte-Carlo sweeps give every user one threshold and solve many admitted
+sets at once: :func:`_waterfill_rows` runs water-filling's root on every row
+of an (R, k) block, each probe one row-wise walk (``model._equality_rows``).
+Because theta* is the largest fitting float, not wherever a search stopped,
+each row's answer equals :func:`solve_waterfill`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -29,12 +35,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import Scenario, _check_budget, _equality_walk, compute_sinr
+from .model import Scenario, _check_budget, _equality_rows, _equality_walk, _sinr
 
 __all__ = [
     "MaxMinSolution",
@@ -63,22 +68,6 @@ class MaxMinSolution:
     achieved_sinr: np.ndarray
     iterations: int
     solver: str
-
-
-class _PrefixView(NamedTuple):
-    """The per-user arrays phase 2 reads from a Scenario, for an admitted prefix
-    held as slices of (runs, N) rows: :func:`solve_waterfill` takes it in place
-    of ``Scenario.prefix(count)``, with no Scenario built per run.
-    """
-
-    su_gains: np.ndarray
-    su_noise: np.ndarray
-    su_thresholds: np.ndarray
-    noise_over_gain: np.ndarray
-
-    @property
-    def n_sus(self) -> int:
-        return len(self.su_gains)
 
 
 def min_power_for_targets(scenario: Scenario, targets) -> tuple[float, np.ndarray]:
@@ -112,6 +101,11 @@ def feasible(scenario: Scenario, t: float, budget: float) -> bool:
     return total_power_curve(scenario, t) <= budget
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be strictly positive and finite")
+
+
 def _check_phase2_inputs(scenario: Scenario, budget: float,
                          epsilon: float) -> tuple[list[float], list[float],
                                                tuple[list[float], float]]:
@@ -122,8 +116,7 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
     if scenario.n_sus == 0:
         raise ValueError("phase 2 is undefined for an empty admitted set")
     _check_budget(budget)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be strictly positive and finite")
+    _check_epsilon(epsilon)
     thresholds = scenario.su_thresholds.tolist()
     over_gain = scenario.noise_over_gain.tolist()
     walk = _equality_walk(thresholds, over_gain)
@@ -294,7 +287,7 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
     return MaxMinSolution(
         theta_star=float(theta_star),
         powers=powers,
-        achieved_sinr=compute_sinr(scenario, powers),
+        achieved_sinr=_sinr(powers, scenario.su_gains, scenario.su_noise),
         iterations=iterations,
         solver=solver,
     )
@@ -340,7 +333,7 @@ def solve_waterfill(scenario: Scenario, budget: float,
     ``theta_star`` is the largest float with S(theta) <= P_s, so it does not
     depend on ``epsilon`` or on the search path; a budget with no slack
     takes the same path. ``iterations`` reports how many threshold levels
-    were fully flooded. ``scenario`` may also be a :class:`_PrefixView`.
+    were fully flooded.
     """
     thresholds, over_gain, walk = _check_phase2_inputs(scenario, budget, epsilon)
     if scenario.n_sus == 1:
@@ -354,7 +347,7 @@ def solve_waterfill(scenario: Scenario, budget: float,
         return MaxMinSolution(
             theta_star=theta,
             powers=powers,
-            achieved_sinr=compute_sinr(scenario, powers),
+            achieved_sinr=_sinr(powers, scenario.su_gains, scenario.su_noise),
             iterations=0,
             solver="waterfill",
         )
@@ -381,3 +374,105 @@ def solve_waterfill(scenario: Scenario, budget: float,
         hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
     theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, "waterfill")
+
+
+def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
+                    budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_waterfill` on every row of an (R, k) block whose users share a threshold.
+
+    Row r holds one admitted set: gains sorted non-increasing, ``noise``
+    broadcasting against them, a budget ``budgets[r]`` that affords everyone at
+    ``threshold``. Returns theta_star (R,) and the powers (R, k), each row
+    equal to ``solve_waterfill`` on it bit for bit. With one threshold t the
+    only segment is [t, one float past the lone-user bound), where every user
+    sits at theta: the scalar solver's Newton root and last-fit search run on
+    all rows at once, every probe one :func:`_equality_rows` walk of the block,
+    and end on the same canonical theta_star, the largest float with
+    S(theta) <= budget.
+    """
+    if gains.shape[1] == 1:
+        # As in solve_waterfill: the whole budget goes to the only user.
+        return np.maximum(budgets * gains[:, 0] / noise[..., 0], threshold), budgets[:, None].copy()
+    over_gain = noise / gains
+    lo = np.full(len(budgets), threshold)
+    with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
+        hi = np.nextafter(np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo), np.inf)
+        lo, hi, theta, stride = _newton_rows(threshold, over_gain, budgets, lo, hi)
+        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride)
+    powers = _equality_rows(threshold, over_gain, floor=theta)[0]
+    # The budget closes on the weakest user, as in _assemble.
+    powers[:, -1] += budgets - powers.sum(axis=1)
+    powers[:, -1] = np.where(powers[:, -1] < 0.0, 0.0, powers[:, -1])
+    return theta, powers
+
+
+def _newton_rows(threshold, over_gain, budgets, lo, hi):
+    """:func:`_newton_root` masked per row, on one segment where every user is floored.
+
+    Returns the narrowed brackets, each row's last theta and its gallop
+    stride, for :func:`_last_fit_rows`.
+    """
+    rows, users = over_gain.shape
+    theta = lo
+    powers, _, total = _equality_rows(threshold, over_gain)
+    ulp = np.spacing(budgets)
+    half_ulp = 0.5 * ulp
+    rel_half_ulp = half_ulp / budgets
+    stride = np.ones(rows)
+    searching = np.ones(rows, dtype=bool)
+    exponents = np.arange(users - 1, -1, -1)
+    for _ in range(100):
+        # theta * S'(theta): user n's power times (1 + theta) per later user.
+        slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)
+        newton = searching & (0.0 < slope) & (slope < math.inf)
+        step = theta * np.minimum(np.expm1((np.log(budgets / total) + rel_half_ulp) * (total / slope)),
+                                  (budgets - total + half_ulp) / slope)
+        converged = newton & (np.abs(step) <= 4e-16 * theta)
+        if converged.any():
+            # Floats per ulp of S: how far the flat run of S == budget reaches.
+            flat_run = ulp * theta / (slope * np.spacing(theta))
+            stride = np.where(converged, np.fmin(np.fmax(flat_run, 1.0), 2.0 ** 52), stride)
+            searching &= ~converged
+        theta = np.where(newton, theta + step, theta)
+        outside = searching & ~((lo < theta) & (theta < hi))
+        if outside.any():
+            theta = np.where(outside, np.sqrt(lo) * np.sqrt(hi), theta)
+            searching &= ~(outside & ~((lo < theta) & (theta < hi)))
+        if not searching.any():
+            break
+        powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
+        fit = total <= budgets
+        lo = np.where(searching & fit, theta, lo)
+        hi = np.where(searching & ~fit, theta, hi)
+    return lo, hi, theta, stride.astype(np.int64)
+
+
+def _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride) -> np.ndarray:
+    """:func:`_last_fit` masked per row, over int64 float bit patterns."""
+
+    def fits(probe, where, fit):
+        floor = np.where(where, probe, fit).view(np.float64)
+        return where & (_equality_rows(threshold, over_gain, floor=floor)[2] <= budgets)
+
+    fit, miss = lo.view(np.int64), hi.view(np.int64)
+    start = np.minimum(np.maximum(theta.view(np.int64), fit), miss)
+    probing = (fit < start) & (start < miss)
+    if probing.any():
+        ok = fits(start, probing, fit)
+        fit, miss = np.where(ok, start, fit), np.where(probing & ~ok, start, miss)
+    upward = start == fit
+    galloping = miss - fit > stride
+    while galloping.any():
+        probe = np.where(upward, fit + stride, miss - stride)
+        ok = fits(probe, galloping, fit)
+        fit, miss = np.where(ok, probe, fit), np.where(galloping & ~ok, probe, miss)
+        galloping &= ok == upward
+        stride = np.minimum(2 * stride, 2 ** 62)
+        galloping &= miss - fit > stride
+    while True:
+        bisecting = miss - fit > 1
+        if not bisecting.any():
+            return fit.view(np.float64)
+        mid = fit + (miss - fit) // 2
+        ok = fits(mid, bisecting, fit)
+        fit, miss = np.where(ok, mid, fit), np.where(bisecting & ~ok, mid, miss)

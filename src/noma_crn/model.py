@@ -66,33 +66,43 @@ def _equality_walk(targets, costs, budget: float = math.inf, floor: float = 0.0,
     return (powers if keep else True), total
 
 
-def _equality_rows(targets, costs, budget=math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_equality_walk` at floor 0 on every row of (R, N) arrays at once.
+def _equality_rows(targets, costs, budget=math.inf,
+                   floor=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_equality_walk` on every row of (R, N) arrays at once.
 
-    ``targets`` broadcasts to the shape of ``costs`` and ``budget`` to (R,). A
-    column at a time, in the walk's operation order, each row runs
-    P_n = lambda_n * total + lambda_n * c_n and stops before its first user with
+    ``targets`` broadcasts to the shape of ``costs``, and ``budget`` and
+    ``floor`` to (R,). A column at a time, in the walk's operation order, each
+    row runs P_n = lambda_n * total + lambda_n * c_n with lambda_n =
+    max(target_n, floor) and stops before its first user with
     ``total + P_n > budget``. Returns the walked powers, zero past where each row
-    stopped, and each row's count of walked users: row r equals the walk on row
-    r's lists bit for bit.
+    stopped, each row's count of walked users and its total: row r equals the
+    walk on row r's lists bit for bit.
     """
     costs = np.asarray(costs, dtype=float)
-    targets = np.broadcast_to(targets, costs.shape)
+    floor = np.asarray(floor, dtype=float)[..., None]
+    lam = np.empty(costs.shape)
+    lam[...] = np.where(targets > floor, targets, floor)
+    lam_cost = lam * costs
+    # An infinite budget stops no row, so the stopping test is skipped for it.
+    budgeted = budget is not math.inf
     powers = np.zeros(costs.shape)
-    total = np.zeros(costs.shape[0])
-    counts = np.zeros(costs.shape[0], dtype=int)
-    walking = np.ones(costs.shape[0], dtype=bool)
+    total = np.zeros(len(costs))
+    counts = np.full(len(costs), 0 if budgeted else costs.shape[1])
+    walking = np.ones(len(costs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic, as in the walk
-        for n in range(costs.shape[1]):
-            lam = targets[:, n]
-            power = lam * total + lam * costs[:, n]
-            walking &= ~(total + power > budget)
-            if not walking.any():
-                break
-            powers[:, n] = np.where(walking, power, 0.0)
-            total = np.where(walking, total + power, total)
-            counts += walking
-    return powers, counts
+        for lam_n, lam_cost_n, power in zip(lam.T, lam_cost.T, powers.T):
+            np.multiply(lam_n, total, out=power)
+            power += lam_cost_n
+            if budgeted:
+                walking &= ~(total + power > budget)
+                if not walking.any():
+                    power[:] = 0.0
+                    break
+                # A stopped row adds 0.0, which leaves its total's bits alone.
+                power[~walking] = 0.0
+                counts += walking
+            total += power
+    return powers, counts, total
 
 
 def _positive_rows(*arrays) -> np.ndarray:
@@ -253,21 +263,24 @@ def sort_users(
     )
 
 
-def compute_sinr(scenario: Scenario, powers) -> np.ndarray:
-    """Per-user SINR for the given power vector (sorted order).
+def _sinr(powers, gains, noise) -> np.ndarray:
+    """gamma_n = P_n G_n / (sum_{j<n} P_j G_n + N_n) over the last axis, unchecked.
 
-    gamma_n = P_n G_n / (sum_{j<n} P_j G_n + N_n): after SIC, only the
-    stronger-gain users 1..n-1 interfere with user n.
+    After SIC, only the stronger-gain users 1..n-1 interfere with user n.
     """
+    prior = np.zeros_like(powers)
+    np.cumsum(powers[..., :-1], axis=-1, out=prior[..., 1:])
+    return powers * gains / (prior * gains + noise)
+
+
+def compute_sinr(scenario: Scenario, powers) -> np.ndarray:
+    """Per-user SINR for the given power vector (sorted order); see :func:`_sinr`."""
     p = np.asarray(powers, dtype=float)
     if p.shape != (scenario.n_sus,):
         raise ValueError(f"powers must have shape ({scenario.n_sus},), got {p.shape}")
     if p.size and (np.any(p < 0.0) or not np.all(np.isfinite(p))):
         raise ValueError("powers must be non-negative and finite")
-    if p.size == 0:
-        return np.zeros(0)
-    prior = np.concatenate(([0.0], np.cumsum(p)[:-1]))
-    return p * scenario.su_gains / (prior * scenario.su_gains + scenario.su_noise)
+    return _sinr(p, scenario.su_gains, scenario.su_noise)
 
 
 def power_budget(scenario: Scenario) -> float:

@@ -14,10 +14,11 @@ A grid point's runs are solved together: each run draws into its own row of
 (runs, N) arrays, and gains, sorting, checks, budgets, admission and the PU
 audit then run once per block of rows, in the same floating-point operations
 as :func:`draw_scenario`, :func:`~noma_crn.model.power_budget` and
-:func:`~noma_crn.admission.admit` on one run. Phase 2 solves each admitting
-row with :func:`~noma_crn.maxmin.solve_waterfill`, and the SINR means are
-summed run by run. Results are therefore reproducible and do not depend on
-the block size, execution order or worker count.
+:func:`~noma_crn.admission.admit` on one run. Phase 2 solves the admitting
+rows together too, one ``(rows, k)`` block per admitted count k, each row
+equal to :func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit,
+and the SINR means are summed run by run. Results are therefore reproducible
+and do not depend on the block size, execution order or worker count.
 
 The experiment drivers sweep a common targeted SINR over a grid of requesting
 user counts (admission statistics, and optionally the phase-2 SINR uplift) or
@@ -32,8 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .maxmin import DEFAULT_EPSILON, _PrefixView, solve_waterfill
-from .model import (Scenario, _budgets, _check_budget, _equality_rows, _positive_rows,
+from .maxmin import DEFAULT_EPSILON, _check_epsilon, _waterfill_rows
+from .model import (Scenario, _budgets, _check_budget, _equality_rows, _positive_rows, _sinr,
                     power_budget, sort_users)
 from .pipeline import run_two_phase
 from .units import db_to_linear, dbm_to_watts, linear_to_db
@@ -180,8 +181,10 @@ def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: floa
     runs once for the chunk, in the operation order of the one-run functions
     (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
-    row), so every row's numbers equal that chain's bit for bit. A run that
-    fails a check raises the chain's error once the runs before it are done.
+    row), so every row's numbers equal that chain's bit for bit. Phase 2 runs
+    once per admitted count k on the rows that admitted k users. A run that
+    fails a check raises the chain's error once the runs before it are done:
+    a bad ``epsilon`` is that error when any run in the chunk admits anyone.
     Returns the admitted-user count summed over runs, the audit violations,
     and per run that admitted anyone its min and mean achieved SINR in dB.
     """
@@ -206,17 +209,20 @@ def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: floa
     refused = (gains[good], pu_gains[good]) if good < len(seeds) else None
     gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
 
-    over_gain = noise / gains
-    powers, counts = _equality_rows(thresholds, over_gain, budgets)
+    powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
     sinr_db = []
-    if with_phase2:
-        for row in np.flatnonzero(counts):
-            k = counts[row]
-            view = _PrefixView(gains[row, :k], noise[:k], thresholds[:k], over_gain[row, :k])
-            solution = solve_waterfill(view, float(budgets[row]), epsilon)
-            powers[row, :k] = solution.powers
-            achieved_db = linear_to_db(solution.achieved_sinr)
-            sinr_db.append((float(np.min(achieved_db)), float(np.mean(achieved_db))))
+    if with_phase2 and counts.any():
+        _check_epsilon(epsilon)
+        min_db, mean_db = np.empty(good), np.empty(good)
+        for k in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == k)
+            block_gains = gains[rows, :k]
+            _, block = _waterfill_rows(thresholds[0], block_gains, noise[:k], budgets[rows])
+            powers[rows, :k] = block
+            achieved_db = linear_to_db(_sinr(block, block_gains, noise[:k]))
+            min_db[rows] = achieved_db.min(axis=1)
+            mean_db[rows] = achieved_db.mean(axis=1)
+        sinr_db = list(zip(min_db[counts > 0].tolist(), mean_db[counts > 0].tolist()))
     injected = powers.sum(axis=1)[:, None] * pu_gains
     violations = np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1)
 

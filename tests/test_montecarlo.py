@@ -18,7 +18,7 @@ from noma_crn import (
     run_seed,
     solve_waterfill,
 )
-from noma_crn import montecarlo
+from noma_crn import maxmin, montecarlo
 from noma_crn.maxmin import DEFAULT_EPSILON
 from noma_crn.model import _equality_rows, _equality_walk
 
@@ -270,6 +270,15 @@ class TestRunBatchedKernel:
         run_fig2(small_model(m=2), [5.0, 20.0], [5, 10], runs=30, master_seed=3)
         assert built == []
 
+    def test_solves_phase2_without_the_scalar_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweeps solve phase 2 as blocks of rows")
+
+        for name in ("solve_waterfill", "_newton_root", "_last_fit", "_fits"):
+            monkeypatch.setattr(maxmin, name, refuse)
+        stats = run_fig3(small_model(m=1), [5.0, 20.0], [1, 5, 10], runs=30, master_seed=3)
+        assert all(s.runs_with_admission for s in stats)
+
 
 class TestEqualityRows:
     @pytest.mark.parametrize("budgeted", [True, False])
@@ -292,15 +301,36 @@ class TestEqualityRows:
             if budgeted and n:
                 budgets[1::2] = totals[1::2, 1:][np.arange(rows // 2),
                                                 rng.integers(0, n, rows // 2)]
-            powers, counts = _equality_rows(targets, costs, budgets)
+            powers, counts, total = _equality_rows(targets, costs, budgets)
             for r in range(rows):
                 budget = float(budgets[r]) if budgeted else np.inf
-                walked, _ = _equality_walk(targets[r].tolist(), costs[r].tolist(), budget)
+                walked, walked_total = _equality_walk(targets[r].tolist(), costs[r].tolist(),
+                                                      budget)
                 assert counts[r] == len(walked)
                 assert powers[r, :counts[r]].tolist() == walked
                 assert not powers[r, counts[r]:].any()
+                assert total[r] == walked_total
             if budgeted and n > 1:
                 assert len(set(counts.tolist())) > 2
+
+    def test_per_row_floor_is_the_scalar_walk_at_that_floor(self):
+        # Floors below, between, on and above the thresholds, so some users
+        # of a row keep their target and the others sit at the floor.
+        rng = np.random.default_rng(12)
+        levels = 10 ** (np.array([0.0, 3.0, 6.0, 10.0, 20.0]) / 10)
+        for n in (1, 2, 7, 30):
+            rows = 64
+            targets = rng.choice(levels, (rows, n))
+            costs = 10 ** rng.uniform(-13, -9, (rows, n))
+            floor = 10 ** rng.uniform(-1, 2.5, rows)
+            floor[::4] = rng.choice(levels, rows // 4)
+            powers, counts, total = _equality_rows(targets, costs, floor=floor)
+            assert counts.tolist() == [n] * rows
+            for r in range(rows):
+                walked, walked_total = _equality_walk(targets[r].tolist(), costs[r].tolist(),
+                                                      floor=float(floor[r]))
+                assert powers[r].tolist() == walked
+                assert total[r] == walked_total
 
 
 class TestSnapshot:
