@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,9 @@ def _fits(thresholds: list[float], over_gain: list[float], budget: float,
 
 def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
     # No user can beat the SINR of getting the whole budget interference-free.
-    return float(np.max(budget * scenario.su_gains / scenario.su_noise))
+    # The bound may overflow to inf; each solver brackets that case itself.
+    with np.errstate(over="ignore"):
+        return float(np.max(budget * scenario.su_gains / scenario.su_noise))
 
 
 def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
@@ -299,17 +302,23 @@ def solve_bisection(scenario: Scenario, budget: float,
 
     Starts from the bracket ``l = min(thresholds)`` (feasible after phase 1)
     and ``u = max(budget * G_n / N_n)`` (nobody can do better than a lone user
-    with the whole budget) and runs exactly ceil(log2((u - l)/epsilon))
-    halvings: feasible midpoints raise ``l``, infeasible ones lower ``u``.
+    with the whole budget; the largest float if that overflows) and runs
+    exactly ceil(log2((u - l)/epsilon)) halvings: feasible midpoints raise
+    ``l``, infeasible ones lower ``u``.
     ``theta_star`` is the certified feasible side ``l``; the leftover budget
     (below what one epsilon of SINR would cost) is then spread with the
     water-filling tie rule so the budget comes out fully spent.
     """
     thresholds, over_gain, _ = _check_phase2_inputs(scenario, budget, epsilon)
     lo = float(np.min(scenario.su_thresholds))
-    hi = max(_sinr_upper_bound(scenario, budget), lo)
+    hi = min(max(_sinr_upper_bound(scenario, budget), lo), sys.float_info.max)
     width = hi - lo
-    iterations = 0 if width <= epsilon else math.ceil(math.log2(width / epsilon))
+    if width <= epsilon:
+        iterations = 0
+    elif width / epsilon < math.inf:
+        iterations = math.ceil(math.log2(width / epsilon))
+    else:  # the ratio overflows, its log does not
+        iterations = math.ceil(math.log2(width) - math.log2(epsilon))
     for _ in range(iterations):
         t = 0.5 * (lo + hi)
         if _fits(thresholds, over_gain, budget, t):

@@ -8,7 +8,10 @@ R*sqrt(u) so density is uniform in area) and forms gains as
 with lognormal shadowing H ~ N(0, sigma_db) and distances clipped below at
 ``min_distance`` to keep D^(-alpha) bounded. Every run is a pure function of
 its seed: per-run seeds are derived from (master seed, experiment id, grid
-indices, run index) through ``numpy.random.SeedSequence``.
+indices, run index) through ``numpy.random.SeedSequence``. The sweeps hash a
+chunk's run seeds together: the pool after a grid point's four integers is
+shared by all its runs, so each run's PCG64 seed words take a few array
+operations over the chunk, bit for bit the words of its own SeedSequence.
 
 A grid point's runs are solved together: each run draws into its own row of
 (runs, N) arrays, and gains, sorting, checks, budgets, admission and the PU
@@ -32,6 +35,8 @@ from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .maxmin import DEFAULT_EPSILON, _check_epsilon, _waterfill_rows
 from .model import (Scenario, _budgets, _check_budget, _equality_rows, _positive_rows, _sinr,
@@ -59,7 +64,6 @@ AUDIT_RTOL = 1e-9
 #: Runs drawn and solved together as one block of (runs, N) rows. It bounds
 #: the kernel's memory whatever the run count; results do not depend on it.
 _CHUNK_RUNS = 1024
-
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -140,12 +144,28 @@ def _disk_radii(model: ChannelModel, uniforms) -> np.ndarray:
     return np.maximum(model.cell_radius * np.sqrt(uniforms), model.min_distance)
 
 
-def _draw(rng: np.random.Generator, model: ChannelModel):
-    """One run's raw draws, in their fixed order: SU radii, SU shadowing, PU
-    radii, PU shadowing (radii as the uniforms they come from)."""
-    sigma = model.shadowing_sigma_db
-    return (rng.random(model.num_sus), rng.normal(0.0, sigma, model.num_sus),
-            rng.random(model.num_pus), rng.normal(0.0, sigma, model.num_pus))
+def _draw_rows(model: ChannelModel, rngs, rows: int):
+    """Draw ``rows`` runs, one from each generator of ``rngs`` into its own row,
+    in a fixed order: SU radii, SU shadowing, PU radii, PU shadowing (radii as
+    the uniforms they come from).
+
+    The shadowing is drawn standard normal and scaled by sigma once per block:
+    ``normal(0, sigma)`` is ``0 + sigma * z``, which differs only in the sign
+    of a zero, and ``db_to_linear`` maps both zeros to 1. A draw of no PUs
+    consumes nothing, so it is skipped.
+    """
+    n, m = model.num_sus, model.num_pus
+    su_u, su_shadow = np.empty((rows, n)), np.empty((rows, n))
+    pu_u, pu_shadow = np.empty((rows, m)), np.empty((rows, m))
+    for rng, row in zip(rngs, range(rows)):
+        rng.random(out=su_u[row])
+        rng.standard_normal(out=su_shadow[row])
+        if m:
+            rng.random(out=pu_u[row])
+            rng.standard_normal(out=pu_shadow[row])
+    su_shadow *= model.shadowing_sigma_db
+    pu_shadow *= model.shadowing_sigma_db
+    return su_u, su_shadow, pu_u, pu_shadow
 
 
 def run_seed(master_seed: int, experiment: str | int, *indices: int) -> np.random.SeedSequence:
@@ -154,14 +174,84 @@ def run_seed(master_seed: int, experiment: str | int, *indices: int) -> np.rando
     return np.random.SeedSequence([int(master_seed), int(exp_id), *map(int, indices)])
 
 
+# SeedSequence's hash (numpy.random.bit_generator; its output is stable across
+# numpy versions), with numpy's names for the constants. Entropy hashing runs
+# the hash constant INIT_A * MULT_A**i, and generate_state runs
+# INIT_B * MULT_B**i, each one step per word hashed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` hash steps from step ``first``
+    on, and after the last one."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF
+                     for i in range(first, first + count + 1)], dtype=np.uint32)
+
+
+#: generate_state(4, np.uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each word, the i-th at hash constants ``consts[i:i + 2]``."""
+    hashed = (words ^ consts[:-1]) * consts[1:]
+    return hashed ^ (hashed >> 16)
+
+
+def _mix_word(pool: np.ndarray, words: np.ndarray, step: int) -> np.ndarray:
+    """Each row's pool after SeedSequence mixes in that row's entropy word, the
+    hash constant at ``step`` (rows of a uint32 (R, 4) pool, words (R,))."""
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(
+        words[:, None], _hash_consts(_INIT_A, _MULT_A, step, pool.shape[1]))
+    return mixed ^ (mixed >> 16)
+
+
+def _run_seed_words(prefix: np.random.SeedSequence, runs) -> np.ndarray:
+    """``SeedSequence([*prefix.entropy, run]).generate_state(4, np.uint64)``
+    for each run index in ``runs`` (below 2**64), as rows of an (R, 4) array.
+
+    ``prefix`` is a grid point's ``run_seed(master, experiment, ti, ni)``.
+    SeedSequence hashes its first four 32-bit entropy words into a pool of
+    four and mixes them together, then mixes every later word into each pool
+    word, advancing its hash constant one step per hash. A run index comes
+    after the prefix's four or more words, so every run starts from the
+    prefix's pool at the step four times the prefix's word count, and mixes
+    in its own one word, or two from 2**32 on.
+    """
+    runs = np.asarray(runs, dtype=np.uint64)
+    step = 4 * sum(max(1, -(-int(v).bit_length() // 32)) for v in prefix.entropy)
+    pool = _mix_word(np.broadcast_to(prefix.pool, (len(runs), 4)),
+                     (runs & 0xFFFFFFFF).astype(np.uint32), step)
+    high = (runs >> 32).astype(np.uint32)
+    two = np.flatnonzero(high)
+    if two.size:
+        pool[two] = _mix_word(pool[two], high[two], step + 4)
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """One run's PCG64 seed words, as its SeedSequence generates them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly these: four uint64 words.
+        return self.words
+
+
 def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
     """Draw one random Scenario; bit-for-bit deterministic for a given seed.
 
     ``threshold_db`` (scalar or per-user array, pre-sort order) sets the SINR
     targets; the channel model itself carries no target, since experiments
-    sweep it. The draws come from ``_draw``, in its fixed order.
+    sweep it. The draws are the one-row case of ``_draw_rows``.
     """
-    su_u, su_shadow, pu_u, pu_shadow = _draw(np.random.default_rng(rng_seed), model)
+    su_u, su_shadow, pu_u, pu_shadow = (
+        draws[0] for draws in _draw_rows(model, [np.random.default_rng(rng_seed)], 1))
     thresholds = np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,))
     return sort_users(
         channel_gain(model, _disk_radii(model, su_u), su_shadow),
@@ -173,11 +263,12 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
     )
 
 
-def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: float,
-                  with_phase2: bool):
+def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: float,
+                  epsilon: float, with_phase2: bool):
     """Draw, check, budget, admit, solve and audit one chunk of runs as (runs, N) rows.
 
-    Each run draws from its own seed into its row; everything after the draw
+    Row r draws from its own PCG64 stream, seeded with ``seed_words[r]`` (see
+    ``_run_seed_words``), into its row; everything after the draw
     runs once for the chunk, in the operation order of the one-run functions
     (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
@@ -189,11 +280,9 @@ def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: floa
     and per run that admitted anyone its min and mean achieved SINR in dB.
     """
     n, m = model.num_sus, model.num_pus
-    su_u, su_shadow = np.empty((len(seeds), n)), np.empty((len(seeds), n))
-    pu_u, pu_shadow = np.empty((len(seeds), m)), np.empty((len(seeds), m))
-    for row, seed in enumerate(seeds):
-        su_u[row], su_shadow[row], pu_u[row], pu_shadow[row] = _draw(
-            np.random.default_rng(seed), model)
+    runs = len(seed_words)
+    su_u, su_shadow, pu_u, pu_shadow = _draw_rows(
+        model, (Generator(PCG64(_SeedWords(words))) for words in seed_words), runs)
     gains = channel_gain(model, _disk_radii(model, su_u), su_shadow)
     gains = np.take_along_axis(gains, np.argsort(-gains, axis=1, kind="stable"), axis=1)
     pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
@@ -205,8 +294,8 @@ def _runs_as_rows(model: ChannelModel, seeds, threshold_db: float, epsilon: floa
         budgets = _budgets(pu_gains, limits, p_max)
     shared_ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
     ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
-    good = len(seeds) if ok.all() else int(np.argmin(ok))
-    refused = (gains[good], pu_gains[good]) if good < len(seeds) else None
+    good = runs if ok.all() else int(np.argmin(ok))
+    refused = (gains[good], pu_gains[good]) if good < runs else None
     gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
 
     powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
@@ -243,10 +332,11 @@ def _grid_point_stats(args) -> ExperimentStats:
     min_db_sum = 0.0
     all_db_sum = 0.0
     admitted_runs = 0
+    prefix = run_seed(master_seed, experiment, target_index, n_index)
     for start in range(0, runs, _CHUNK_RUNS):
-        seeds = [run_seed(master_seed, experiment, target_index, n_index, run_index)
-                 for run_index in range(start, min(start + _CHUNK_RUNS, runs))]
-        admitted, violated, sinr_db = _runs_as_rows(point_model, seeds, target_db, epsilon,
+        run_indices = np.arange(start, min(start + _CHUNK_RUNS, runs), dtype=np.uint64)
+        seed_words = _run_seed_words(prefix, run_indices)
+        admitted, violated, sinr_db = _runs_as_rows(point_model, seed_words, target_db, epsilon,
                                                     with_phase2)
         admitted_total += admitted
         violations += violated
