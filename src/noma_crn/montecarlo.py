@@ -65,6 +65,7 @@ AUDIT_RTOL = 1e-9
 #: the kernel's memory whatever the run count; results do not depend on it.
 _CHUNK_RUNS = 1024
 
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Geometry and radio parameters for random scenario draws.

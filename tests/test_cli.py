@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noma_crn import Scenario, ScenarioParseError, cli, read_scenario, write_scenario
+from noma_crn import (DEFAULT_EPSILON, Scenario, ScenarioParseError, cli, read_scenario,
+                      run_two_phase, write_scenario)
 from noma_crn.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -287,6 +289,26 @@ class TestMaxminCommand:
         assert len(gap_line) == 1
         gap = float(gap_line[0].split()[2])
         assert gap <= 2e-6
+
+    def test_overflowing_lone_user_bound(self, tmp_path, capsys):
+        # B*G/N is ~1e314 W/W here and overflows to inf: both solvers still
+        # solve it, warn about nothing, and agree within criterion 1's tolerance.
+        path = write_text(tmp_path / "huge.txt",
+                          "noise_dbm -120\npmax_dbm 20\nsu 3000 10\nsu 2990 10\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solver in ("bisection", "waterfill"):
+                assert main(["maxmin", "--scenario", path, "--solver", solver]) == EXIT_OK
+            assert main(["maxmin", "--scenario", path, "--solver", "both"]) == EXIT_OK
+            (gap_line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                           if "discrepancy" in ln]
+            assert float(gap_line.split()[2]) <= 2 * DEFAULT_EPSILON
+            scenario = read_scenario(path)
+            b, w = (run_two_phase(scenario, solver=solver).maxmin
+                    for solver in ("bisection", "waterfill"))
+        assert abs(b.theta_star - w.theta_star) <= 2 * DEFAULT_EPSILON
+        scale = 10 * DEFAULT_EPSILON * float(np.max(scenario.noise_over_gain))
+        np.testing.assert_allclose(b.powers, w.powers, atol=scale, rtol=1e-6)
 
     def test_csv_output(self, scenario_file, tmp_path):
         out_path = tmp_path / "m.csv"

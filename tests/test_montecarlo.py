@@ -72,6 +72,15 @@ def scalar_chain(experiment, model, targets_db, n_values, runs, master_seed,
 SWEEPS = {"fig2": run_fig2, "fig3": run_fig3}
 
 
+def reference_draw(model, seed):
+    """One run's draws as the sweeps first made them, independently of the
+    package's draw routine: SU radii uniforms, SU shadowing, PU radii
+    uniforms, PU shadowing, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n, m, sigma = model.num_sus, model.num_pus, model.shadowing_sigma_db
+    return rng.random(n), rng.normal(0.0, sigma, n), rng.random(m), rng.normal(0.0, sigma, m)
+
+
 class TestChannelGain:
     def test_hundred_meters_no_shadowing(self):
         assert channel_gain(small_model(), 100.0, 0.0) == pytest.approx(1e-5, rel=1e-12)
@@ -133,6 +142,19 @@ class TestDrawScenario:
     def test_zero_users_legal(self):
         s = draw_scenario(small_model(n=0, m=0), 3, 10.0)
         assert s.n_sus == 0
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_equals_the_reference_draw(self, m):
+        model = small_model(n=7, m=m)
+        for run_index in range(20):
+            seed = run_seed(5, "fig2", 1, 2, run_index)
+            su_u, su_shadow, pu_u, pu_shadow = reference_draw(model, seed)
+            radii = np.maximum(model.cell_radius * np.sqrt(su_u), model.min_distance)
+            gains = channel_gain(model, radii, su_shadow)
+            pu_radii = np.maximum(model.cell_radius * np.sqrt(pu_u), model.min_distance)
+            s = draw_scenario(model, seed, 10.0)
+            assert s.su_gains.tolist() == gains[np.argsort(-gains, kind="stable")].tolist()
+            assert s.pu_gains.tolist() == channel_gain(model, pu_radii, pu_shadow).tolist()
 
 
 class TestExperiments:
@@ -270,6 +292,40 @@ class TestRunBatchedKernel:
         run_fig2(small_model(m=2), [5.0, 20.0], [5, 10], runs=30, master_seed=3)
         assert built == []
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_chunk_draws_equal_the_reference_draw(self, monkeypatch, m):
+        drawn = []
+        draw_rows = montecarlo._draw_rows
+
+        def recording(*args):
+            drawn.append(draw_rows(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "_draw_rows", recording)
+        model = small_model(n=6, m=m)
+        run_fig3(model, [10.0], [6], runs=40, master_seed=2**40)
+        (chunk,) = drawn
+        for run_index in range(40):
+            expected = reference_draw(model, run_seed(2**40, "fig3", 0, 0, run_index))
+            # Radii bit for bit; shadowing equal as floats, the sign of a zero
+            # aside, which db_to_linear erases.
+            for got, want in zip(chunk, expected):
+                np.testing.assert_array_equal(got[run_index], want)
+
+    def test_builds_one_seed_sequence_per_chunk_not_per_run(self, monkeypatch):
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        runs = montecarlo._CHUNK_RUNS + 1  # two chunks per grid point
+        run_fig3(small_model(m=2), [5.0, 20.0], [5], runs=runs, master_seed=3)
+        run_fig2(small_model(m=2), [5.0, 20.0], [5], runs=runs, master_seed=3)
+        assert 0 < len(built) <= 2 * 2 * 2
+
     def test_solves_phase2_without_the_scalar_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the sweeps solve phase 2 as blocks of rows")
@@ -278,6 +334,29 @@ class TestRunBatchedKernel:
             monkeypatch.setattr(maxmin, name, refuse)
         stats = run_fig3(small_model(m=1), [5.0, 20.0], [1, 5, 10], runs=30, master_seed=3)
         assert all(s.runs_with_admission for s in stats)
+
+
+class TestRunSeedWords:
+    RUNS = [*range(2101), *range(2**32 - 3, 2**32 + 3), 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("indices", [(0, 0), (4, 2**32), (2**33 + 1, 7)])
+    def test_equals_each_runs_seed_sequence(self, master, indices):
+        # Prefixes of four to eight 32-bit words, and run indices of one word
+        # and, from 2**32 on, two, whose high word must be mixed in as well.
+        got = montecarlo._run_seed_words(run_seed(master, "fig3", *indices), self.RUNS)
+        expected = [run_seed(master, "fig3", *indices, run).generate_state(4, np.uint64)
+                    for run in self.RUNS]
+        assert got.dtype == np.uint64
+        assert got.tolist() == np.array(expected).tolist()
+
+    def test_negative_master_seed_is_run_seeds_error(self):
+        with pytest.raises(ValueError) as expected:
+            run_seed(-1, "fig2", 0, 0, 0)
+        for sweep in SWEEPS.values():
+            with pytest.raises(ValueError) as got:
+                sweep(small_model(), [10.0], [3], runs=2, master_seed=-1)
+            assert str(got.value) == str(expected.value)
 
 
 class TestEqualityRows:
