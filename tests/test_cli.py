@@ -291,8 +291,8 @@ class TestMaxminCommand:
         assert gap <= 2e-6
 
     def test_overflowing_lone_user_bound(self, tmp_path, capsys):
-        # B*G/N is ~1e314 W/W here and overflows to inf: both solvers still
-        # solve it, warn about nothing, and agree within criterion 1's tolerance.
+        # The lone-user bound B*G/N is ~1e314 and overflows to inf: both solvers
+        # still solve it, warn about nothing, and agree within criterion 1's tolerance.
         path = write_text(tmp_path / "huge.txt",
                           "noise_dbm -120\npmax_dbm 20\nsu 3000 10\nsu 2990 10\n")
         with warnings.catch_warnings():

@@ -342,7 +342,7 @@ class TestRunSeedWords:
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3])
     @pytest.mark.parametrize("indices", [(0, 0), (4, 2**32), (2**33 + 1, 7)])
     def test_equals_each_runs_seed_sequence(self, master, indices):
-        # Prefixes of four to eight 32-bit words, and run indices of one word
+        # Prefixes of four to seven 32-bit words, and run indices of one word
         # and, from 2**32 on, two, whose high word must be mixed in as well.
         got = montecarlo._run_seed_words(run_seed(master, "fig3", *indices), self.RUNS)
         expected = [run_seed(master, "fig3", *indices, run).generate_state(4, np.uint64)
