@@ -15,7 +15,8 @@ endings; identical configs (including seed) produce byte-identical files.
 
 Each option is one row of ``_OPTIONS``: its flag, config key, check, default
 and the subcommands that accept it (for ``simulate``, the experiments that
-read it; the others refuse it). A ``--config file.json`` may supply any
+read it; ``simulate`` parses every optional flag and refuses, by name, one
+its experiment does not read). A ``--config file.json`` may supply any
 long-option value by name (``grid_points`` for ``--grid-points``); explicit
 flags win over the file, and the file over the ``NOMA_CRN_SEED`` environment
 variable, which overrides the default seed. Config values pass the same
@@ -162,7 +163,7 @@ _OPTIONS = (
     _Option("seed", _COUNT, 0, _SIM, f"master seed (env {SEED_ENV_VAR} overrides default)",
             env=SEED_ENV_VAR),
     _Option("epsilon", _scalar(float, lambda x: x > 0.0, "strictly positive"), DEFAULT_EPSILON,
-            ("maxmin", "verify", "fig3", "fig4"), "bisection tolerance, linear SINR"),
+            ("maxmin", "verify"), "bisection tolerance, linear SINR"),
     _Option("grid_points", _scalar(int, lambda n: n == 0 or n >= 2, "0 (auto) or at least 2"), 0,
             ("verify",), "oracle grid points per axis (default: sized to ~1e6 total)"),
     _Option("jobs", _POSITIVE, 1, _SWEEPS, "parallel workers over grid points"),
@@ -172,11 +173,6 @@ RunConfig = make_dataclass(
     "RunConfig", ["command", *(opt.name for opt in _OPTIONS)], frozen=True,
     namespace={"__module__": __name__, "__doc__": "Checked option values; options the "
                "subcommand or experiment does not read are None."})
-
-
-def _accepts(command: str, opt: _Option) -> bool:
-    scopes = _SIM if command == "simulate" else (command,)
-    return any(scope in opt.commands for scope in scopes)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,11 +191,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file supplying option values by name")
+        scopes = _SIM if command == "simulate" else (command,)
         for opt in _OPTIONS:
-            if _accepts(command, opt):
+            reads = any(scope in opt.commands for scope in scopes)
+            # simulate also parses, unlisted in its help, the optional flags no
+            # experiment reads, so that parse_config refuses them by name.
+            if reads or (command == "simulate" and not opt.required):
                 # Flags stay text here; parse_config checks them like config values.
                 metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
-                p.add_argument(opt.flag, dest=opt.name, metavar=metavar, help=opt.help)
+                p.add_argument(opt.flag, dest=opt.name, metavar=metavar,
+                               help=opt.help if reads else argparse.SUPPRESS)
     return parser
 
 
@@ -230,7 +231,7 @@ def parse_config(argv=None) -> RunConfig:
     config file, malformed JSON or an unknown key.
     """
     ns = _build_parser().parse_args(argv)
-    accepted = [opt for opt in _OPTIONS if _accepts(ns.command, opt)]
+    accepted = [opt for opt in _OPTIONS if hasattr(ns, opt.name)]  # the subcommand's flags
     file_values = _load_config_file(ns.config, {opt.name for opt in accepted}) if ns.config else {}
     values = dict.fromkeys(opt.name for opt in _OPTIONS)
     given = {}
@@ -381,7 +382,7 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, list[str]]:
     # Each header names the fields of the records the driver returns.
     if cfg.experiment == "fig4":
         model = ChannelModel(num_sus=cfg.sus, num_pus=cfg.pus)
-        records = run_fig4(model, cfg.sus, cfg.threshold_range_db, cfg.seed, cfg.epsilon)
+        records = run_fig4(model, cfg.sus, cfg.threshold_range_db, cfg.seed)
         header = _FIG4_HEADER
     else:
         model = ChannelModel(num_sus=max(cfg.n_values), num_pus=cfg.pus)
@@ -390,7 +391,7 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, list[str]]:
             records = run_fig2(model, *sweep, n_jobs=cfg.jobs)
             header = _FIG2_HEADER
         else:
-            records = run_fig3(model, *sweep, epsilon=cfg.epsilon, n_jobs=cfg.jobs)
+            records = run_fig3(model, *sweep, n_jobs=cfg.jobs)
             header = _FIG3_HEADER
     table = [tuple(getattr(record, field) for field in header) for record in records]
     if cfg.format == "csv":

@@ -138,9 +138,10 @@ def _fits(thresholds: list[float], over_gain: list[float], budget: float,
 
 def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
     # No user can beat the SINR of getting the whole budget interference-free.
-    # The bound may overflow to inf; each solver brackets that case itself.
-    with np.errstate(over="ignore"):
-        return float(np.max(budget * scenario.su_gains / scenario.su_noise))
+    # It may overflow to inf, silently in float arithmetic; each solver brackets that case.
+    budget = float(budget)
+    return max(budget * g / n for g, n in zip(scenario.su_gains.tolist(),
+                                              scenario.su_noise.tolist()))
 
 
 def _level_root(thresholds: list[float], over_gain: list[float], budget: float,

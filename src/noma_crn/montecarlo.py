@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .maxmin import DEFAULT_EPSILON, _check_epsilon, _waterfill_rows
+from .maxmin import _waterfill_rows
 from .model import (Scenario, _budgets, _check_budget, _equality_rows, _positive_rows, _sinr,
                     power_budget, sort_users)
 from .pipeline import run_two_phase
@@ -265,7 +265,7 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
 
 
 def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: float,
-                  epsilon: float, with_phase2: bool):
+                  with_phase2: bool):
     """Draw, check, budget, admit, solve and audit one chunk of runs as (runs, N) rows.
 
     Row r draws from its own PCG64 stream, seeded with ``seed_words[r]`` (see
@@ -275,8 +275,8 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
     row), so every row's numbers equal that chain's bit for bit. Phase 2 runs
     once per admitted count k on the rows that admitted k users. A run that
-    fails a check raises the chain's error once the runs before it are done:
-    a bad ``epsilon`` is that error when any run in the chunk admits anyone.
+    fails a check, or whose phase-2 SINR leaves the float range, raises the
+    chain's error once the runs before it are done.
     Returns the admitted-user count summed over runs, the audit violations,
     and per run that admitted anyone its min and mean achieved SINR in dB.
     """
@@ -302,7 +302,6 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
     sinr_db = []
     if with_phase2 and counts.any():
-        _check_epsilon(epsilon)
         min_db, mean_db = np.empty(good), np.empty(good)
         for k in sorted(set(counts.tolist()) - {0}):
             rows = np.flatnonzero(counts == k)
@@ -325,7 +324,7 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
 
 def _grid_point_stats(args) -> ExperimentStats:
     (experiment, model, target_db, target_index, n_index, n_requesting,
-     runs, master_seed, epsilon) = args
+     runs, master_seed) = args
     point_model = replace(model, num_sus=n_requesting)
     with_phase2 = experiment == "fig3"
     admitted_total = 0
@@ -337,7 +336,7 @@ def _grid_point_stats(args) -> ExperimentStats:
     for start in range(0, runs, _CHUNK_RUNS):
         run_indices = np.arange(start, min(start + _CHUNK_RUNS, runs), dtype=np.uint64)
         seed_words = _run_seed_words(prefix, run_indices)
-        admitted, violated, sinr_db = _runs_as_rows(point_model, seed_words, target_db, epsilon,
+        admitted, violated, sinr_db = _runs_as_rows(point_model, seed_words, target_db,
                                                     with_phase2)
         admitted_total += admitted
         violations += violated
@@ -361,11 +360,11 @@ def _grid_point_stats(args) -> ExperimentStats:
 
 
 def _sweep(experiment, model, targeted_sinr_grid_db, n_values, runs, master_seed,
-           epsilon, n_jobs) -> list[ExperimentStats]:
+           n_jobs) -> list[ExperimentStats]:
     if runs < 1:
         raise ValueError("runs must be at least 1")
     tasks = [
-        (experiment, model, float(t_db), ti, ni, int(n), int(runs), int(master_seed), epsilon)
+        (experiment, model, float(t_db), ti, ni, int(n), int(runs), int(master_seed))
         for ti, t_db in enumerate(targeted_sinr_grid_db)
         for ni, n in enumerate(n_values)
     ]
@@ -378,32 +377,29 @@ def _sweep(experiment, model, targeted_sinr_grid_db, n_values, runs, master_seed
 
 
 def run_fig2(model: ChannelModel, targeted_sinr_grid_db, n_values, runs: int,
-             master_seed: int, n_jobs: int = 1) -> list[ExperimentStats]:
+             master_seed: int, *, n_jobs: int = 1) -> list[ExperimentStats]:
     """Mean admitted-user count over a (targeted SINR, requesting N) grid."""
-    return _sweep("fig2", model, targeted_sinr_grid_db, n_values, runs, master_seed,
-                  DEFAULT_EPSILON, n_jobs)
+    return _sweep("fig2", model, targeted_sinr_grid_db, n_values, runs, master_seed, n_jobs)
 
 
 def run_fig3(model: ChannelModel, targeted_sinr_grid_db, n_values, runs: int,
-             master_seed: int, epsilon: float = DEFAULT_EPSILON,
-             n_jobs: int = 1) -> list[ExperimentStats]:
+             master_seed: int, *, n_jobs: int = 1) -> list[ExperimentStats]:
     """Like :func:`run_fig2`, plus the phase-2 achieved SINR per grid point.
 
-    Runs that admit nobody are excluded from the SINR means and counted
-    separately via ``runs_with_admission``.
+    Phase 2 is water-filling, exact with no tolerance. Runs that admit nobody
+    are excluded from the SINR means and counted via ``runs_with_admission``.
     """
-    return _sweep("fig3", model, targeted_sinr_grid_db, n_values, runs, master_seed,
-                  epsilon, n_jobs)
+    return _sweep("fig3", model, targeted_sinr_grid_db, n_values, runs, master_seed, n_jobs)
 
 
 def run_fig4(model: ChannelModel, n: int, threshold_range_db: tuple[float, float],
-             seed: int, epsilon: float = DEFAULT_EPSILON) -> list[SnapshotRow]:
+             seed: int) -> list[SnapshotRow]:
     """Single-draw snapshot with per-user targets uniform in a dB range.
 
     Returns one row per requesting user in sorted (descending-gain) order:
     original index, gain, targeted and achieved SINR in dB, admission flag.
-    Admitted users achieve at least their target; those lifted by phase 2 sit
-    at the common optimal level.
+    Admitted users achieve at least their target; those lifted by phase 2
+    (water-filling) sit at the common optimal level.
     """
     low, high = threshold_range_db
     if high < low:
@@ -412,7 +408,7 @@ def run_fig4(model: ChannelModel, n: int, threshold_range_db: tuple[float, float
     target_db = target_rng.uniform(low, high, int(n))
     point_model = replace(model, num_sus=int(n))
     scenario = draw_scenario(point_model, run_seed(seed, "fig4", 1), target_db)
-    outcome = run_two_phase(scenario, solver="waterfill", epsilon=epsilon)
+    outcome = run_two_phase(scenario, solver="waterfill")
     sorted_targets_db = linear_to_db(scenario.su_thresholds)
     rows = []
     for i in range(scenario.n_sus):

@@ -122,7 +122,7 @@ def figure_sweeps():
     fig2 = run_fig2(model, TARGET_GRID_DB, N_VALUES, RUNS, MASTER_SEED)
     t_fig2 = time.monotonic() - t0
     t0 = time.monotonic()
-    fig3 = run_fig3(model, TARGET_GRID_DB, N_VALUES, RUNS, MASTER_SEED, EPSILON)
+    fig3 = run_fig3(model, TARGET_GRID_DB, N_VALUES, RUNS, MASTER_SEED)
     t_fig3 = time.monotonic() - t0
     return {"fig2": fig2, "fig3": fig3, "t_fig2": t_fig2, "t_fig3": t_fig3}
 

@@ -159,11 +159,17 @@ class TestParseConfig:
         (["simulate", "--experiment", "fig4", "--pus", "1", "--runs", "7", "--n-values", "9",
           "--jobs", "2", "--targets-db", "30"], None, "--n-values: not read by --experiment fig4"),
         (SIM_FIG4, {"runs": 5}, "runs: not read by --experiment fig4"),
+        (["simulate", "--experiment", "fig3", "--pus", "1", "--epsilon", "1e-6"], None,
+         "--epsilon: not read by --experiment fig3"),
+        (SIM_FIG4 + ["--epsilon", "1e-6"], None, "--epsilon: not read by --experiment fig4"),
+        (["simulate", "--experiment", "fig3", "--pus", "1"], {"epsilon": 1e-6},
+         "epsilon: not read by --experiment fig3"),
     ], ids=["config-runs-text", "config-solver", "config-experiment", "config-format",
             "config-grid-points", "config-seed-fraction", "config-runs-bool", "flag-sus-negative",
             "flag-n-values-empty", "flag-threshold-range-reversed", "flag-grid-points-one",
             "flag-targets-db-empty", "flag-grid-points-negative", "flags-unread-by-fig2",
-            "flags-unread-by-fig4", "config-unread-by-fig4"])
+            "flags-unread-by-fig4", "config-unread-by-fig4", "flag-epsilon-unread-by-fig3",
+            "flag-epsilon-unread-by-fig4", "config-epsilon-unread-by-fig3"])
     def test_malformed_option_value_is_usage_error(self, tmp_path, capsys, scenario_file,
                                                    argv, config, name):
         if argv[0] != "simulate":

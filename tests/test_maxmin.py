@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,29 @@ def _random_instance(rng) -> tuple[Scenario, float]:
     scenario = Scenario(gains, noise, thresholds, [], [], 1.0)
     required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
     return scenario, required
+
+
+class TestSinrUpperBound:
+    def test_equals_the_array_expression_bitwise(self):
+        # Gains, noise and budget log-uniform over 1e-300..1e300, so many
+        # bounds overflow to inf: each equals numpy's array expression bit
+        # for bit, and none warns.
+        rng = np.random.default_rng(11)
+        overflowed = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            gains = np.sort(10 ** rng.uniform(-300, 300, n))[::-1]
+            noise = 10 ** rng.uniform(-300, 300, n)
+            budget = float(10 ** rng.uniform(-300, 300))
+            scenario = Scenario(gains, noise, np.ones(n), [], [], budget)
+            with np.errstate(all="ignore"):
+                expected = float(np.max(budget * gains / noise))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = maxmin._sinr_upper_bound(scenario, np.float64(budget))
+            assert got.hex() == expected.hex()
+            overflowed += got == math.inf
+        assert overflowed
 
 
 class TestWaterfillRoot:

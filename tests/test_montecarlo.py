@@ -19,7 +19,6 @@ from noma_crn import (
     solve_waterfill,
 )
 from noma_crn import maxmin, montecarlo
-from noma_crn.maxmin import DEFAULT_EPSILON
 from noma_crn.model import _equality_rows, _equality_walk
 
 
@@ -27,8 +26,7 @@ def small_model(n=6, m=0, **kw):
     return ChannelModel(num_sus=n, num_pus=m, **kw)
 
 
-def scalar_chain(experiment, model, targets_db, n_values, runs, master_seed,
-                 epsilon=DEFAULT_EPSILON):
+def scalar_chain(experiment, model, targets_db, n_values, runs, master_seed):
     """The sweep composed one run at a time from the public one-run functions:
     run_seed -> draw_scenario -> power_budget -> admit -> prefix ->
     solve_waterfill -> PU audit on the padded power vector."""
@@ -46,8 +44,7 @@ def scalar_chain(experiment, model, targets_db, n_values, runs, master_seed,
                 admitted += result.admitted_count
                 powers = result.full_powers()
                 if experiment == "fig3" and result.admitted_count:
-                    solution = solve_waterfill(scenario.prefix(result.admitted_count), budget,
-                                               epsilon)
+                    solution = solve_waterfill(scenario.prefix(result.admitted_count), budget)
                     powers[: result.admitted_count] = solution.powers
                     achieved_db = linear_to_db(solution.achieved_sinr)
                     min_db_sum += float(np.min(achieved_db))
@@ -181,6 +178,13 @@ class TestExperiments:
         parallel = run_fig3(model, [8.0, 20.0], [3, 5], runs=25, master_seed=3, n_jobs=2)
         assert serial == parallel
 
+    def test_worker_count_is_keyword_only(self):
+        # A sixth positional argument, such as a stale tolerance, is refused
+        # rather than taken for a worker count.
+        for sweep in SWEEPS.values():
+            with pytest.raises(TypeError):
+                sweep(small_model(), [10.0], [3], 2, 1, 1e-6)
+
     def test_fig3_means_only_over_admitting_runs(self):
         model = small_model(n=4, m=2)
         stats = run_fig3(model, [20.0], [4], runs=60, master_seed=5)[0]
@@ -246,28 +250,35 @@ class TestRunBatchedKernel:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_first_failing_run_decides_the_error(self):
-        # 2000 dB shadowing: some runs draw gains that overflow or underflow
-        # and are refused, the others admit users, and with epsilon nan those
-        # fail in phase 2. Whichever run fails first decides the error.
-        model = small_model(n=3, m=1, shadowing_sigma_db=2000.0)
+        # 100 dB shadowing on K = 1e290: some runs draw gains that overflow and
+        # are refused; in others a lone admitted user's SINR B*G/N overflows
+        # and phase 2 fails in linear_to_db. Whichever run fails first decides
+        # the error.
+        model = small_model(n=3, m=0, shadowing_sigma_db=100.0, system_constant_k=1e290)
+
+        def refused(seed, run):
+            try:
+                draw_scenario(model, run_seed(seed, "fig3", 0, 0, run), 2900.0)
+            except ValueError:
+                return True
+            return False
+
         overtaken = 0
-        for seed in range(10):
-            errors = []
-            for epsilon in (float("nan"), DEFAULT_EPSILON):
-                try:
-                    scalar_chain("fig3", model, [0.0], [3], 4, seed, epsilon)
-                    expected = None
-                except ValueError as exc:
-                    expected = str(exc)
-                try:
-                    run_fig3(model, [0.0], [3], runs=4, master_seed=seed, epsilon=epsilon)
-                    got = None
-                except ValueError as exc:
-                    got = str(exc)
-                assert got == expected
-                errors.append(expected)
+        for seed in range(20):
+            try:
+                scalar_chain("fig3", model, [2900.0], [3], 4, seed)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                run_fig3(model, [2900.0], [3], runs=4, master_seed=seed)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected
             # A phase-2 error in an early run hides a refused later run.
-            overtaken += str(errors[0]).startswith("epsilon") and errors[1] is not None
+            if str(expected).startswith("linear_to_db"):
+                overtaken += any(refused(seed, run) for run in range(1, 4))
         assert overtaken
 
     def test_audit_counts_like_the_scalar_chain(self, monkeypatch):
