@@ -24,7 +24,11 @@ checks as flags: a bad value from any source exits 2 (usage), while unknown
 config keys and an unreadable or malformed config file exit 3.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, 3 file parse error,
-4 infeasible, 5 oracle capacity exceeded, 6 output I/O error.
+4 infeasible, 5 capacity exceeded, 6 output I/O error. Capacity covers what
+cannot be computed or checked in floating point: a file too large for an
+oracle (``verify``), a phase-2 SINR beyond the float range (``maxmin``,
+``verify``), and an oracle grid whose numbers are not finite, which leaves
+``verify`` inconclusive.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import os
 import sys
 from dataclasses import dataclass, make_dataclass
 from typing import Callable
+
+import numpy as np
 
 from .admission import admit
 from .errors import CapacityError, InfeasibleError, ScenarioParseError
@@ -302,10 +308,26 @@ def _cmd_admit(cfg: RunConfig) -> tuple[int, list[str]]:
     return EXIT_OK, lines
 
 
+def _two_phase(scenario, names, epsilon: float) -> dict:
+    """``run_two_phase`` under each named solver, refusing a SINR beyond the float range.
+
+    Such a SINR leaves an inf or nan in theta* or the achieved SINRs; it is
+    reported here as a CapacityError, not as numpy overflow warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = {name: run_two_phase(scenario, solver=name, epsilon=epsilon) for name in names}
+    for name, outcome in outcomes.items():
+        sol = outcome.maxmin
+        if sol is not None and not np.all(np.isfinite([sol.theta_star, *sol.achieved_sinr])):
+            raise CapacityError(f"[{name}] phase-2 SINR beyond the float range "
+                                f"(theta* = {sol.theta_star:.6g} linear)")
+    return outcomes
+
+
 def _cmd_maxmin(cfg: RunConfig) -> tuple[int, list[str]]:
     scenario = read_scenario(cfg.scenario)
     names = list(_SOLVERS) if cfg.solver == "both" else [cfg.solver]
-    outcomes = {name: run_two_phase(scenario, solver=name, epsilon=cfg.epsilon) for name in names}
+    outcomes = _two_phase(scenario, names, cfg.epsilon)
     first = outcomes[names[0]]
     admitted = first.admission.admitted_count
     if cfg.format == "csv":
@@ -337,11 +359,11 @@ def _cmd_maxmin(cfg: RunConfig) -> tuple[int, list[str]]:
 
 def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     scenario = read_scenario(cfg.scenario)
-    outcomes = {name: run_two_phase(scenario, solver=name, epsilon=cfg.epsilon)
-                for name in _SOLVERS}
+    outcomes = _two_phase(scenario, _SOLVERS, cfg.epsilon)
     budget, result = outcomes["bisection"].budget, outcomes["bisection"].admission
     best_count = oracle_max_admitted(scenario, budget)
     ok = result.admitted_count == best_count
+    inconclusive = False
     lines = [f"phase 1: greedy admitted {result.admitted_count}, exhaustive best {best_count} "
              f"-> {'agree' if ok else 'MISMATCH'}"]
     if 1 <= result.admitted_count <= 3:
@@ -349,10 +371,16 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
         # grid_points 0 sizes the grid to ~1e6 points in total.
         points = cfg.grid_points or {1: 1_000_001, 2: 1415, 3: 181}[result.admitted_count]
         grid = GridSpec(points, budget)
-        search = oracle_max_min_sinr(restricted, budget, grid)
+        with np.errstate(over="ignore"):  # an overflowing grid is reported below
+            search = oracle_max_min_sinr(restricted, budget, grid)
         lines.append(f"phase 2 grid: {search.points_checked} points, "
                      f"resolution {search.resolution:.6g} (linear SINR)")
-        if search.value is None:
+        if not (math.isfinite(search.resolution)
+                and (search.value is None or math.isfinite(search.value))):
+            lines.append("phase 2 grid: resolution or value not finite, any gap would agree "
+                         "-> inconclusive")
+            inconclusive = True
+        elif search.value is None:
             lines.append("phase 2 grid: no feasible grid point (grid too coarse)")
             ok = False
         else:
@@ -369,8 +397,11 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
                      "the 3-user grid oracle)")
     else:
         lines.append("phase 2: nobody admitted; nothing to verify")
-    lines.append("verification: " + ("PASS" if ok else "FAIL"))
-    return (EXIT_OK if ok else EXIT_MISMATCH), lines
+    if not ok:
+        return EXIT_MISMATCH, [*lines, "verification: FAIL"]
+    if inconclusive:
+        return EXIT_CAPACITY, [*lines, "verification: INCONCLUSIVE"]
+    return EXIT_OK, [*lines, "verification: PASS"]
 
 
 _FIG2_HEADER = ("target_sinr_db", "n_requesting", "m_pus", "runs", "mean_admitted")

@@ -8,7 +8,9 @@ to tell apart.
 
 
 class CapacityError(Exception):
-    """An exhaustive verifier was asked for more users than it can enumerate."""
+    """A result past what can be enumerated or held in a float: an exhaustive
+    verifier asked for more users than it can enumerate, or a SINR beyond the
+    float range."""
 
 
 class InfeasibleError(Exception):

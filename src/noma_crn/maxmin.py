@@ -25,7 +25,9 @@ Two independent solvers are provided and must agree:
 
 The Monte-Carlo sweeps give every user one threshold and solve many admitted
 sets at once: :func:`_waterfill_rows` runs water-filling's root on every row
-of an (R, k) block, each probe one row-wise walk (``model._equality_rows``).
+of an (R, K) block, each probe one row-wise walk (``model._equality_rows``).
+Sets of fewer than K users are padded with users of zero cost, which leave
+the walk's bits alone, so one search serves a block of every admitted count.
 Because theta* is the largest fitting float, not wherever a search stopped,
 each row's answer equals :func:`solve_waterfill`'s bit for bit.
 """
@@ -388,39 +390,58 @@ def solve_waterfill(scenario: Scenario, budget: float,
 
 def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
                     budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`solve_waterfill` on every row of an (R, k) block whose users share a threshold.
+    """:func:`solve_waterfill` on every row of an (R, K) block whose users share a threshold.
 
-    Row r holds one admitted set: gains sorted non-increasing, ``noise``
-    broadcasting against them, a budget ``budgets[r]`` that affords everyone at
-    ``threshold``. Returns theta_star (R,) and the powers (R, k), each row
-    equal to ``solve_waterfill`` on it bit for bit. With one threshold t the
-    only segment is [t, one float past the lone-user bound), where every user
-    sits at theta: the scalar solver's Newton root and last-fit search run on
-    all rows at once, every probe one :func:`_equality_rows` walk of the block,
-    and end on the same canonical theta_star, the largest float with
-    S(theta) <= budget.
+    Row r holds one admitted set of k_r >= 1 users, right-aligned: gains
+    sorted non-increasing in its last k_r columns and 0 in the columns before
+    them, ``noise`` broadcasting against them, a budget ``budgets[r]`` that
+    affords its users at ``threshold``. Returns theta_star (R,) and the powers
+    (R, K), 0 in the padded columns, each row equal to ``solve_waterfill`` on
+    its users bit for bit. With one threshold t the only segment is [t, one
+    float past the lone-user bound), where every user sits at theta: the
+    scalar solver's Newton root and last-fit search run on all rows with
+    k_r >= 2 at once, every probe one :func:`_equality_rows` walk of the
+    block, and end on the same canonical theta_star, the largest float with
+    S(theta) <= budget. A padded user costs N/G = 0, so it walks to power 0.0
+    and leaves the total at 0.0: each row's walk is its dense walk bit for
+    bit, and one search serves rows of every count. The lone-user closed form
+    and the budget fold, whose sum must not see the padding, run per count.
     """
-    if gains.shape[1] == 1:
-        # As in solve_waterfill: the whole budget goes to the only user.
-        return np.maximum(budgets * gains[:, 0] / noise[..., 0], threshold), budgets[:, None].copy()
-    over_gain = noise / gains
-    lo = np.full(len(budgets), threshold)
-    with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
-        hi = np.nextafter(np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo), np.inf)
-        lo, hi, theta, stride = _newton_rows(threshold, over_gain, budgets, lo, hi)
-        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride)
-    powers = _equality_rows(threshold, over_gain, floor=theta)[0]
-    # The budget closes on the weakest user, as in _assemble.
-    powers[:, -1] += budgets - powers.sum(axis=1)
-    powers[:, -1] = np.where(powers[:, -1] < 0.0, 0.0, powers[:, -1])
+    noise = np.broadcast_to(noise, gains.shape)
+    users = gains.shape[1]
+    counts = np.count_nonzero(gains, axis=1)
+    theta, powers = np.empty(len(budgets)), np.zeros(gains.shape)
+    lone = counts == 1
+    # As in solve_waterfill: the whole budget goes to the only user.
+    theta[lone] = np.maximum(budgets[lone] * gains[lone, -1] / noise[lone, -1], threshold)
+    powers[lone, -1] = budgets[lone]
+    rows = np.flatnonzero(~lone)
+    if rows.size:
+        gains, noise, budgets, counts = gains[rows], noise[rows], budgets[rows], counts[rows]
+        lo = np.full(len(rows), threshold)
+        with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
+            over_gain = np.where(gains > 0.0, noise / gains, 0.0)
+            hi = np.nextafter(np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo),
+                              np.inf)
+            lo, hi, level, stride = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
+            level = _last_fit_rows(threshold, over_gain, budgets, lo, hi, level, stride)
+        block = _equality_rows(threshold, over_gain, floor=level)[0]
+        # The budget closes on the weakest user, as in _assemble, summing only
+        # the row's own users: padding would regroup numpy's pairwise sum.
+        for k in set(counts.tolist()):
+            group = np.flatnonzero(counts == k)
+            last = block[group, -1] + (budgets[group] - block[group, users - k:].sum(axis=1))
+            block[group, -1] = np.where(last < 0.0, 0.0, last)
+        theta[rows], powers[rows] = level, block
     return theta, powers
 
 
-def _newton_rows(threshold, over_gain, budgets, lo, hi):
+def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
     """:func:`_newton_root` masked per row, on one segment where every user is floored.
 
-    Returns the narrowed brackets, each row's last theta and its gallop
-    stride, for :func:`_last_fit_rows`.
+    Row r's ``counts[r]`` users sit in its last columns, after padding that
+    costs nothing. Returns the narrowed brackets, each row's last theta and
+    its gallop stride, for :func:`_last_fit_rows`.
     """
     rows, users = over_gain.shape
     theta = lo
@@ -430,7 +451,10 @@ def _newton_rows(threshold, over_gain, budgets, lo, hi):
     rel_half_ulp = half_ulp / budgets
     stride = np.ones(rows)
     searching = np.ones(rows, dtype=bool)
+    # Later users per user; 0 for padding, whose (1 + theta)**e could
+    # overflow alone and turn its 0 power into nan.
     exponents = np.arange(users - 1, -1, -1)
+    exponents = np.where(exponents < counts[:, None], exponents, 0)
     for _ in range(100):
         # theta * S'(theta): user n's power times (1 + theta) per later user.
         slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)

@@ -18,9 +18,10 @@ A grid point's runs are solved together: each run draws into its own row of
 audit then run once per block of rows, in the same floating-point operations
 as :func:`draw_scenario`, :func:`~noma_crn.model.power_budget` and
 :func:`~noma_crn.admission.admit` on one run. Phase 2 solves the admitting
-rows together too, one ``(rows, k)`` block per admitted count k, each row
-equal to :func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit,
-and the SINR means are summed run by run. Results are therefore reproducible
+rows together too, as one block as wide as the largest admitted count, each
+row's users right-aligned after zero-cost padding and equal to
+:func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit, and the
+SINR means are summed run by run. Results are therefore reproducible
 and do not depend on the block size, execution order or worker count.
 
 The experiment drivers sweep a common targeted SINR over a grid of requesting
@@ -274,7 +275,8 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
     row), so every row's numbers equal that chain's bit for bit. Phase 2 runs
-    once per admitted count k on the rows that admitted k users. A run that
+    once for the chunk, on its admitting rows padded to the largest admitted
+    count; only the SINR conversion and means run per count. A run that
     fails a check, or whose phase-2 SINR leaves the float range, raises the
     chain's error once the runs before it are done.
     Returns the admitted-user count summed over runs, the audit violations,
@@ -302,16 +304,29 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
     sinr_db = []
     if with_phase2 and counts.any():
-        min_db, mean_db = np.empty(good), np.empty(good)
-        for k in sorted(set(counts.tolist()) - {0}):
-            rows = np.flatnonzero(counts == k)
-            block_gains = gains[rows, :k]
-            _, block = _waterfill_rows(thresholds[0], block_gains, noise[:k], budgets[rows])
-            powers[rows, :k] = block
-            achieved_db = linear_to_db(_sinr(block, block_gains, noise[:k]))
-            min_db[rows] = achieved_db.min(axis=1)
-            mean_db[rows] = achieved_db.mean(axis=1)
-        sinr_db = list(zip(min_db[counts > 0].tolist(), mean_db[counts > 0].tolist()))
+        rows = np.flatnonzero(counts)
+        k = counts[rows]
+        width = int(k.max())
+        # Each admitted prefix right-aligned in one (rows, width) block, after
+        # zero gains: block column c holds the row's user c - (width - k).
+        user = np.arange(width) - (width - k[:, None])
+        block_gains = np.where(user >= 0, np.take_along_axis(gains[rows], np.maximum(user, 0), 1),
+                               0.0)
+        _, block = _waterfill_rows(thresholds[0], block_gains, noise[:width], budgets[rows])
+        # Back to the prefix's columns, zeros after, for the audit's row sums.
+        column = np.arange(n) + (width - k[:, None])
+        powers[rows] = np.where(column < width,
+                                np.take_along_axis(block, np.minimum(column, width - 1), 1), 0.0)
+        # A padded user's SINR is 0; each count's users are converted and
+        # averaged alone, in the one-run chain's summation order.
+        sinr = _sinr(block, block_gains, noise[:width])
+        min_db, mean_db = np.empty(len(rows)), np.empty(len(rows))
+        for size in sorted(set(k.tolist())):
+            group = np.flatnonzero(k == size)
+            achieved_db = linear_to_db(sinr[group, width - size:])
+            min_db[group] = achieved_db.min(axis=1)
+            mean_db[group] = achieved_db.mean(axis=1)
+        sinr_db = list(zip(min_db.tolist(), mean_db.tolist()))
     injected = powers.sum(axis=1)[:, None] * pu_gains
     violations = np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1)
 

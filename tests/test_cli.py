@@ -247,6 +247,26 @@ class TestMainExitCodes:
         assert main(["verify", "--scenario", scenario_file, "--config", cfg_path]) == EXIT_PARSE
         assert "unknown config keys: format" in capsys.readouterr().err
 
+    def test_verify_is_inconclusive_on_a_grid_past_the_float_range(self, tmp_path, capsys):
+        # Both users' G/N overflow, so the grid's resolution is inf: any gap
+        # would agree with it. That is no check, so verify exits 5, unwarned.
+        two = write_text(tmp_path / "two.txt",
+                         "noise_dbm -120\npmax_dbm 20\nsu 3000 10\nsu 2990 10\n")
+        lone = write_text(tmp_path / "lone.txt", "noise_dbm -120\npmax_dbm 20\nsu 3000 10\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--scenario", two]) == EXIT_CAPACITY
+            out = capsys.readouterr().out.splitlines()
+            assert out == [
+                "phase 1: greedy admitted 2, exhaustive best 2 -> agree",
+                "phase 2 grid: 1001820 points, resolution inf (linear SINR)",
+                "phase 2 grid: resolution or value not finite, any gap would agree "
+                "-> inconclusive",
+                "verification: INCONCLUSIVE"]
+            # A lone user's SINR itself overflows: refused before the oracle.
+            assert main(["verify", "--scenario", lone]) == EXIT_CAPACITY
+            assert "beyond the float range" in capsys.readouterr().err
+
     def test_verify_passes_on_small_scenario(self, scenario_file, capsys):
         assert main(["verify", "--scenario", scenario_file]) == EXIT_OK
         out = capsys.readouterr().out
@@ -315,6 +335,20 @@ class TestMaxminCommand:
         assert abs(b.theta_star - w.theta_star) <= 2 * DEFAULT_EPSILON
         scale = 10 * DEFAULT_EPSILON * float(np.max(scenario.noise_over_gain))
         np.testing.assert_allclose(b.powers, w.powers, atol=scale, rtol=1e-6)
+
+    @pytest.mark.parametrize("solver", ["bisection", "waterfill"])
+    def test_sinr_beyond_the_float_range_is_capacity_error(self, tmp_path, capsys, solver):
+        # A lone user's SINR B*G/N is ~1e314, past the largest float. The file
+        # parses, so this is exit 5 with a named message, and no numpy warning.
+        path = write_text(tmp_path / "lone.txt", "noise_dbm -120\npmax_dbm 20\nsu 3000 10\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fmt in ("table", "csv"):
+                assert main(["maxmin", "--scenario", path, "--solver", solver,
+                             "--format", fmt]) == EXIT_CAPACITY
+                assert capsys.readouterr() == (
+                    "", f"error: [{solver}] phase-2 SINR beyond the float range "
+                        "(theta* = inf linear)\n")
 
     def test_csv_output(self, scenario_file, tmp_path):
         out_path = tmp_path / "m.csv"

@@ -412,15 +412,32 @@ def _common_threshold_block(rng, rows: int, k: int, threshold: float):
 
 def _rows_equal_scalar(threshold: float, gains, noise, budgets) -> np.ndarray:
     """Check _waterfill_rows against solve_waterfill row by row, bit for bit;
-    returns the rows' theta_star."""
+    returns the rows' theta_star. A row's users are its nonzero gains, which
+    end the row; its padded columns must get zero power."""
     theta, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
     noise = np.broadcast_to(noise, gains.shape)
     for r, budget in enumerate(budgets.tolist()):
-        scenario = Scenario(gains[r], noise[r], np.full(gains.shape[1], threshold), [], [], 1.0)
+        k = np.count_nonzero(gains[r])
+        users = slice(gains.shape[1] - k, None)
+        scenario = Scenario(gains[r, users], noise[r, users], np.full(k, threshold), [], [], 1.0)
         solution = solve_waterfill(scenario, budget)
         assert theta[r] == solution.theta_star
-        assert powers[r].tolist() == solution.powers.tolist()
+        assert powers[r].tolist() == [0.0] * (gains.shape[1] - k) + solution.powers.tolist()
     return theta
+
+
+def _ragged(blocks, width: int = 0):
+    """Stack (gains, noise, budgets) blocks of different user counts into one
+    block at least ``width`` wide, each row's users right-aligned after zero
+    gains (noise 1 there)."""
+    width = max(width, *(gains.shape[1] for gains, _, _ in blocks))
+    padded = []
+    for gains, noise, budgets in blocks:
+        rows, k = gains.shape
+        pad = ((0, 0), (width - k, 0))
+        padded.append((np.pad(gains, pad), np.pad(np.broadcast_to(noise, gains.shape), pad,
+                                                  constant_values=1.0), budgets))
+    return tuple(np.concatenate(parts) for parts in zip(*padded))
 
 
 class TestWaterfillRows:
@@ -493,3 +510,63 @@ class TestWaterfillRows:
             fit = maxmin._last_fit_rows(threshold, over_gain, budgets, lo, np.full(rows, math.inf),
                                         lo, np.ones(rows, dtype=np.int64))
         assert fit.tolist() == theta.tolist()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_ragged_block_of_every_count_in_one_call(self):
+        # Rows of k = 1..30 users from the generators above, shuffled together
+        # into one right-aligned block at one threshold: random budgets, zero
+        # and 1e-12 slack, a top of the bracket where S overflows, and theta*
+        # near the top of the float range. One search serves them all.
+        rng = np.random.default_rng(34)
+        threshold = 1.0
+        blocks = []
+        for k in range(1, 31):
+            gains, noise, required = _common_threshold_block(rng, 8, k, threshold)
+            budgets = required * 10 ** rng.uniform(0.0, 3.0, 8)
+            budgets[:2] = required[:2] * np.array([1.0, 1.0 + 1e-12])
+            blocks.append((gains, noise, budgets))
+        overflowing = []
+        for k in range(20, 31):
+            gains = np.sort(10 ** rng.uniform(2, 6, (2, k)), axis=1)[:, ::-1].copy()
+            noise = np.full(k, 1e-15)
+            bound = np.max(0.1 * gains / noise, axis=1)
+            with np.errstate(over="ignore"):
+                overflowing.append(_equality_rows(threshold, noise / gains, floor=bound)[2])
+            blocks.append((gains, noise, np.full(2, 0.1)))
+        assert np.all(np.concatenate(overflowing) == math.inf)
+        gains = np.sort(10 ** rng.uniform(3, 6, (6, 2)), axis=1)[:, ::-1].copy()
+        noise = 10 ** rng.uniform(-298, -295, (6, 2))
+        blocks.append((gains, noise, 10 ** rng.uniform(295, 307, 6)))
+        gains, noise, budgets = _ragged(blocks)
+        order = rng.permutation(len(budgets))
+        gains, noise, budgets = gains[order], noise[order], budgets[order]
+        counts = np.count_nonzero(gains, axis=1)
+        assert set(counts.tolist()) == set(range(1, 31))
+        theta = _rows_equal_scalar(threshold, gains, noise, budgets)
+        assert np.all(theta[budgets > 1e290] > 1e290)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_padding_leaves_the_search_path_alone(self, monkeypatch):
+        # theta* ~1e300 for two users: (1 + theta)**e overflows for e >= 2, so
+        # only the padding's exponents overflow. Masked out of the slope, they
+        # leave every Newton step as it was; unmasked, 0 * inf is nan and the
+        # rows fall back to geometric midpoints, ~20x the walks.
+        rng = np.random.default_rng(33)
+        gains = np.sort(10 ** rng.uniform(3, 6, (12, 2)), axis=1)[:, ::-1].copy()
+        noise = 10 ** rng.uniform(-298, -295, (12, 2))
+        budgets = 10 ** rng.uniform(295, 307, 12)
+        walks = []
+
+        def recording(*args, **kwargs):
+            walks.append(1)
+            return _equality_rows(*args, **kwargs)
+
+        monkeypatch.setattr(maxmin, "_equality_rows", recording)
+        dense = _rows_equal_scalar(1e150, gains, noise, budgets)
+        dense_walks = len(walks)
+        for width in (3, 30):
+            walks.clear()
+            padded = _rows_equal_scalar(1e150, *_ragged([(gains, noise, budgets)], width))
+            assert padded.tolist() == dense.tolist()
+            # Two users' slope sums two nonzero terms in any order: the same bits.
+            assert len(walks) == dense_walks

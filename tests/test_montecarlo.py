@@ -337,6 +337,28 @@ class TestRunBatchedKernel:
         run_fig2(small_model(m=2), [5.0, 20.0], [5], runs=runs, master_seed=3)
         assert 0 < len(built) <= 2 * 2 * 2
 
+    def test_one_phase2_search_per_chunk(self, monkeypatch):
+        # The chunk's rows admit several counts >= 2; one padded block
+        # serves them all, so the Newton and last-fit searches run once.
+        searched = []
+        newton_rows, last_fit_rows = maxmin._newton_rows, maxmin._last_fit_rows
+
+        def newton(*args):
+            searched.append(("newton", sorted(set(args[-1].tolist()))))
+            return newton_rows(*args)
+
+        def last_fit(*args):
+            searched.append(("last_fit", None))
+            return last_fit_rows(*args)
+
+        monkeypatch.setattr(maxmin, "_newton_rows", newton)
+        monkeypatch.setattr(maxmin, "_last_fit_rows", last_fit)
+        stats = run_fig3(small_model(m=0), [15.0], [10], runs=200, master_seed=3)
+        assert stats == scalar_chain("fig3", small_model(m=0), [15.0], [10], 200, 3)
+        (_, counts), last = searched
+        assert last == ("last_fit", None)
+        assert len(counts) >= 3 and min(counts) >= 2
+
     def test_solves_phase2_without_the_scalar_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the sweeps solve phase 2 as blocks of rows")
