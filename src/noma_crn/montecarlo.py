@@ -307,16 +307,15 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
         rows = np.flatnonzero(counts)
         k = counts[rows]
         width = int(k.max())
-        # Each admitted prefix right-aligned in one (rows, width) block, after
-        # zero gains: block column c holds the row's user c - (width - k).
-        user = np.arange(width) - (width - k[:, None])
-        block_gains = np.where(user >= 0, np.take_along_axis(gains[rows], np.maximum(user, 0), 1),
-                               0.0)
+        # Each admitted prefix right-aligned in one (rows, width) block after
+        # zero gains; row-major order pairs the prefix's entries with the block's.
+        prefix = np.arange(width) < k[:, None]
+        aligned = prefix[:, ::-1]
+        r, c = np.nonzero(prefix)
+        block_gains = np.zeros(prefix.shape)
+        block_gains[aligned] = gains[rows[r], c]
         _, block = _waterfill_rows(thresholds[0], block_gains, noise[:width], budgets[rows])
-        # Back to the prefix's columns, zeros after, for the audit's row sums.
-        column = np.arange(n) + (width - k[:, None])
-        powers[rows] = np.where(column < width,
-                                np.take_along_axis(block, np.minimum(column, width - 1), 1), 0.0)
+        powers[rows[r], c] = block[aligned]
         # A padded user's SINR is 0; each count's users are converted and
         # averaged alone, in the one-run chain's summation order.
         sinr = _sinr(block, block_gains, noise[:width])
