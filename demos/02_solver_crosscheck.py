@@ -2,10 +2,10 @@
 """Cross-check the two max-min solvers against each other and the grid oracle.
 
 The bisection solver certifies a feasible minimum-SINR level to within its
-tolerance; the water-filling solver finds the exact level by walking the
-threshold breakpoints. On top of that, for two- and three-user instances an
-exhaustive simplex grid search bounds the true optimum from below. All three
-must line up.
+tolerance; the water-filling solver finds the exact level by one Newton
+search over the whole threshold range. On top of that, for two- and
+three-user instances an exhaustive simplex grid search bounds the true
+optimum from below. All three must line up.
 """
 
 import numpy as np

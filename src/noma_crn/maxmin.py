@@ -15,13 +15,13 @@ Two independent solvers are provided and must agree:
 * :func:`solve_bisection` — bisection on the candidate minimum SINR ``t``,
   with each step reduced to that closed-form feasibility check; no convex
   solver is needed.
-* :func:`solve_waterfill` — walks the distinct threshold levels from the
-  bottom, flooding the lowest SINRs upward. S(theta) is continuous and
-  strictly increasing beyond the smallest threshold, so the segment
-  containing S^{-1}(P_s) is located by scanning breakpoints and the level
-  inside it by a safeguarded Newton root on log S against log theta, whose
-  slope comes from the same walk. It returns the largest float theta with
-  S(theta) <= P_s, in under ten walks on average where bisection takes ~75.
+* :func:`solve_waterfill` — floods the lowest SINRs upward. S(theta) is
+  continuous, convex and strictly increasing beyond the smallest threshold,
+  so one safeguarded Newton root on log S against log theta, whose slope
+  comes from the same walk, searches the whole range from the smallest
+  threshold to the lone-user bound, threshold kinks included. It returns
+  the largest float theta with S(theta) <= P_s, in under ten walks on
+  average where bisection takes ~75.
 
 The Monte-Carlo sweeps give every user one threshold and solve many admitted
 sets at once: :func:`_waterfill_rows` runs water-filling's root on every row
@@ -63,7 +63,8 @@ class MaxMinSolution:
 
     ``theta_star`` is the optimal minimum SINR (linear). ``iterations`` counts
     bisection steps for the bisection solver and flooded threshold levels for
-    the water-filling solver. ``solver`` is ``"bisection"`` or ``"waterfill"``.
+    the water-filling solver: the distinct thresholds <= theta_star, less one.
+    ``solver`` is ``"bisection"`` or ``"waterfill"``.
     """
 
     theta_star: float
@@ -178,19 +179,20 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _log_slope(thresholds: list[float], base: float, theta: float,
-               powers: list[float]) -> float:
-    """theta * S'(theta) inside the segment above ``base``, from the walk's powers.
+def _log_slope(thresholds: list[float], theta: float, powers: list[float]) -> float:
+    """theta * S'(theta), the right derivative, from the walk's powers at ``theta``.
 
     Reverse chain rule: the total after user n grows as (1 + lambda_n) per
     later user, and d(total_n)/d(lambda_n) = P_n / lambda_n, so
-    theta * S' = sum over floored users (lambda_n = theta) of
-    P_n * prod_{m>n} (1 + lambda_m).
+    theta * S' = sum over floored users (threshold <= theta, lambda_n = theta)
+    of P_n * prod_{m>n} (1 + lambda_m). A user whose threshold equals theta
+    rises with theta from there on, so counting it gives the right derivative
+    at that kink.
     """
     slope = 0.0
     growth = 1.0
     for target, power in zip(reversed(thresholds), reversed(powers)):
-        if target <= base:
+        if target <= theta:
             slope += power * growth
         growth *= 1.0 + (target if target > theta else theta)
     return slope
@@ -201,26 +203,31 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
     """Largest float theta in [lo, hi) with S(theta) <= budget.
 
     ``walk`` is the unbudgeted walk at ``lo``, which fits; ``hi`` does not
-    fit, or lies one float past the lone-user bound. No threshold lies
-    strictly inside [lo, hi], so S is a polynomial in theta with
-    nonnegative coefficients there: S is convex in theta and log S is convex
-    in log theta, and a Newton step on either never lands below the root.
-    Each step takes the nearer of the two, aimed half an ulp above the
-    budget: where S is flat, many floats give S == budget and the root is the
-    last of them. Every probe narrows the bracket [lo, hi]; a step that
-    leaves it, or an S(theta) that overflows, takes the geometric midpoint.
+    fit, or lies one float past the lone-user bound. With lambda_n =
+    max(theta, threshold_n), S(theta) = sum_n lambda_n c_n prod_{m>n} (1 +
+    lambda_m). Each lambda_n is convex, nondecreasing and log-convex in log
+    theta, so S is convex in theta and log S is convex in log theta across
+    the threshold kinks too. A Newton step on either, with the right
+    derivative as slope, therefore never lands below the root. Each step
+    takes the nearer of the two, aimed half an ulp above the budget: where
+    S is flat, many floats give S == budget and the root is the last of
+    them. Every probe narrows the bracket [lo, hi]; a step that leaves it
+    (a log step past the float range counts as leaving it), or an S(theta)
+    that overflows, takes the geometric midpoint.
     """
-    base = lo
     theta = lo
     powers, total = walk
     half_ulp = 0.5 * math.ulp(budget)
     stride = 1
     for _ in range(100):
-        slope = _log_slope(thresholds, base, theta, powers)  # inf or nan if S overflowed
+        slope = _log_slope(thresholds, theta, powers)  # inf or nan if S overflowed
         if 0.0 < slope < math.inf:
-            step = theta * min(math.expm1((math.log(budget / total) + half_ulp / budget)
-                                          * (total / slope)),
-                               (budget - total + half_ulp) / slope)
+            try:
+                step = theta * min(math.expm1((math.log(budget / total) + half_ulp / budget)
+                                              * (total / slope)),
+                                   (budget - total + half_ulp) / slope)
+            except OverflowError:
+                step = math.inf
             # Convergence is tested before the bracket: a last step that rounds
             # onto an end must not restart the search from the far end.
             if abs(step) <= 4e-16 * theta:
@@ -336,16 +343,17 @@ def solve_bisection(scenario: Scenario, budget: float,
 
 def solve_waterfill(scenario: Scenario, budget: float,
                     epsilon: float = DEFAULT_EPSILON) -> MaxMinSolution:
-    """Max-min SINR via the analytical water-filling walk over threshold levels.
+    """Max-min SINR via water-filling: one Newton search for the water level.
 
-    S(theta) is piecewise polynomial with breakpoints at the distinct
-    thresholds and strictly increasing past the smallest one. Scan the
-    breakpoints for the segment holding S^{-1}(P_s), then find the level
-    inside it by a safeguarded Newton root (:func:`_newton_root`):
-    ``theta_star`` is the largest float with S(theta) <= P_s, so it does not
-    depend on ``epsilon`` or on the search path; a budget with no slack
-    takes the same path. ``iterations`` reports how many threshold levels
-    were fully flooded.
+    S(theta) is convex, piecewise polynomial with kinks at the distinct
+    thresholds, and strictly increasing past the smallest one. One
+    safeguarded Newton root (:func:`_newton_root`) searches the bracket from
+    the smallest threshold, which fits, to one float past the lone-user
+    bound, across the kinks: ``theta_star`` is the largest float with
+    S(theta) <= P_s, so it does not depend on ``epsilon`` or on the search
+    path; a budget with no slack takes the same path. ``iterations``
+    reports how many threshold levels were fully flooded: the distinct
+    thresholds <= theta_star, less one.
     """
     thresholds, over_gain, walk = _check_phase2_inputs(scenario, budget, epsilon)
     if scenario.n_sus == 1:
@@ -363,28 +371,12 @@ def solve_waterfill(scenario: Scenario, budget: float,
             iterations=0,
             solver="waterfill",
         )
-    breakpoints = sorted(set(thresholds))
-    flooded = 0
-    lo = breakpoints[0]
-    hi = None
-    for k in range(1, len(breakpoints)):
-        level = breakpoints[k]
-        # The budgeted walk reaches the last user exactly when S(level) fits,
-        # and then it is the full walk at ``level``, kept to start Newton from.
-        probe = _equality_walk(thresholds, over_gain, budget, level)
-        if len(probe[0]) == len(thresholds):
-            lo = level
-            walk = probe
-            flooded = k
-        else:
-            hi = level
-            break
-    if hi is None:
-        # Above every threshold: cap with the lone-user SINR bound, which
-        # may itself fit, so the bracket ends one float past it.
-        flooded = len(breakpoints) - 1
-        hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
+    lo = min(thresholds)
+    # The lone-user bound may itself fit, so the bracket ends one float past it.
+    hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
     theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
+    # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
+    flooded = len({t for t in thresholds if t <= theta}) - 1
     return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, "waterfill")
 
 

@@ -336,6 +336,20 @@ class TestMaxminCommand:
         scale = 10 * DEFAULT_EPSILON * float(np.max(scenario.noise_over_gain))
         np.testing.assert_allclose(b.powers, w.powers, atol=scale, rtol=1e-6)
 
+    def test_thresholds_from_minus_20_to_30_db(self, tmp_path, capsys):
+        # From the -20 dB user's threshold, water-filling's log-log Newton
+        # step overflows math.expm1; the search must fall back, not crash.
+        path = write_text(tmp_path / "spread.txt",
+                          "noise_dbm -107.632\npmax_dbm -23.5\n"
+                          "su -47.202 -20\nsu -62.939 20\nsu -76.7 30\n")
+        assert main(["maxmin", "--scenario", path, "--solver", "both"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "[waterfill] theta* = 10.6925 dB (11.7287 linear), iterations = 0" in out
+        (gap_line,) = [ln for ln in out if "discrepancy" in ln]
+        assert float(gap_line.split()[2]) <= 2 * DEFAULT_EPSILON
+        assert main(["verify", "--scenario", path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
+
     @pytest.mark.parametrize("solver", ["bisection", "waterfill"])
     def test_sinr_beyond_the_float_range_is_capacity_error(self, tmp_path, capsys, solver):
         # A lone user's SINR B*G/N is ~1e314, past the largest float. The file

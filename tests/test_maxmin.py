@@ -253,6 +253,20 @@ class TestSolverProperties:
         # theta* beyond the top level: the one step up to it was completed.
         assert solve_waterfill(s, 9.0).iterations == 1
 
+    def test_waterfill_iterations_count_thresholds_up_to_theta(self):
+        # iterations is the number of distinct thresholds <= theta*, less one:
+        # every level up to theta* is flooded, none above it.
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                scenario, budget = random_admitted_instance(rng, max_users=12)
+            else:
+                scenario, required = _random_instance(rng)
+                budget = required * 10 ** rng.uniform(0.0, 2.0)
+            sol = solve_waterfill(scenario, budget)
+            levels = set(scenario.su_thresholds.tolist())
+            assert sol.iterations == sum(t <= sol.theta_star for t in levels) - 1
+
 
 def _record_walks(monkeypatch) -> list:
     """S(theta) of every equality walk the solvers run, in call order."""
@@ -285,16 +299,16 @@ MAX_WALKS_PER_SOLVE = 20
 MAX_WALKS_NEAR_ZERO_SLACK = 30
 
 
-def _random_instance(rng) -> tuple[Scenario, float]:
-    """2-40 users, thresholds from {0, 3, 6, 10, 20} dB, per-user or common
-    noise, and the total power at the thresholds."""
+def _random_instance(rng, levels_db=(0.0, 3.0, 6.0, 10.0, 20.0)) -> tuple[Scenario, float]:
+    """2-40 users, thresholds from ``levels_db`` ({0, 3, 6, 10, 20} dB by
+    default), per-user or common noise, and the total power at the thresholds."""
     n = int(rng.integers(2, 41))
     gains = np.sort(10 ** rng.uniform(-8, -3, n))[::-1]
     if rng.random() < 0.5:
         noise = 10 ** rng.uniform(-16, -12, n)
     else:
         noise = np.full(n, 10 ** rng.uniform(-16, -12))
-    thresholds = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], n) / 10)
+    thresholds = 10 ** (rng.choice(levels_db, n) / 10)
     scenario = Scenario(gains, noise, thresholds, [], [], 1.0)
     required, _ = min_power_for_targets(scenario, scenario.su_thresholds)
     return scenario, required
@@ -385,6 +399,21 @@ class TestWaterfillRoot:
         assert self._check_canonical(scenario, 0.1, walks) <= MAX_WALKS_PER_SOLVE
         if threshold_db < 0.0:
             assert math.inf in walks
+
+    def test_wide_threshold_spread(self, monkeypatch):
+        # Thresholds from -20 to 30 dB: users at -20 dB can carry so small a
+        # share of S that the log-log Newton step overflows math.expm1. Such
+        # a step leaves the bracket, so the geometric midpoint takes over.
+        # No walk cap here: these solves can take more walks than the
+        # families above.
+        rng = np.random.default_rng(5)
+        walks = _record_walks(monkeypatch)
+        for _ in range(300):
+            scenario, required = _random_instance(
+                rng, levels_db=(-20.0, 0.0, 3.0, 6.0, 10.0, 20.0, 30.0))
+            base = required * 10 ** rng.uniform(0.0, 1.0)
+            for factor in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5, 1e3):
+                self._check_canonical(scenario, base * factor, walks)
 
     def test_fewer_walks_than_bisection(self, monkeypatch):
         # Bisection runs its fixed halvings and then its own _level_root.
