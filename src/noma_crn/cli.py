@@ -311,16 +311,22 @@ def _cmd_admit(cfg: RunConfig) -> tuple[int, list[str]]:
 def _two_phase(scenario, names, epsilon: float) -> dict:
     """``run_two_phase`` under each named solver, refusing a SINR beyond the float range.
 
-    Such a SINR leaves an inf or nan in theta* or the achieved SINRs; it is
-    reported here as a CapacityError, not as numpy overflow warnings.
+    Both solvers keep theta* a finite float; such a SINR leaves an inf or nan
+    in the achieved SINRs, reported here for the first such user as a
+    CapacityError, not as numpy overflow warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = {name: run_two_phase(scenario, solver=name, epsilon=epsilon) for name in names}
     for name, outcome in outcomes.items():
         sol = outcome.maxmin
-        if sol is not None and not np.all(np.isfinite([sol.theta_star, *sol.achieved_sinr])):
+        if sol is None:
+            continue
+        beyond = np.flatnonzero(~np.isfinite(sol.achieved_sinr))
+        if beyond.size:
+            i = beyond[0]
             raise CapacityError(f"[{name}] phase-2 SINR beyond the float range "
-                                f"(theta* = {sol.theta_star:.6g} linear)")
+                                f"(achieved SINR = {sol.achieved_sinr[i]:.6g} linear, "
+                                f"user_index {int(scenario.order[i])})")
     return outcomes
 
 

@@ -20,8 +20,9 @@ Two independent solvers are provided and must agree:
   so one safeguarded Newton root on log S against log theta, whose slope
   comes from the same walk, searches the whole range from the smallest
   threshold to the lone-user bound, threshold kinks included. It returns
-  the largest float theta with S(theta) <= P_s, in under ten walks on
-  average where bisection takes ~75.
+  the largest float theta with S(theta) <= P_s, for every admitted count
+  (one user included, with no closed form of its own), in under ten walks
+  on average where bisection takes ~75.
 
 The Monte-Carlo sweeps give every user one threshold and solve many admitted
 sets at once: :func:`_waterfill_rows` runs water-filling's root on every row
@@ -147,6 +148,17 @@ def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
                                               scenario.su_noise.tolist()))
 
 
+#: Water-filling's bracket ends this factor past max(lone-user bound, smallest
+#: threshold), a few floats out. The bound u = B*G_n/N_n may itself fit; the
+#: top never does: at theta >= u * _BRACKET_TOP user n alone costs at least
+#: B * (1 + 2**-50) * (1 - 2**-53)**5 > B, one factor (1 - 2**-53) per
+#: rounding (two in u, one each in the top, N_n/G_n and theta*N_n/G_n), and
+#: the users before and after it only add. A lone user's root is u itself;
+#: with the top one float past u, Newton, aiming half an ulp past the root,
+#: would keep leaving the bracket for geometric midpoints.
+_BRACKET_TOP = 1.0 + 2.0 ** -50
+
+
 def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
                 lo: float, hi: float) -> float:
     """Bisection's last step: solve S(theta) = budget on [lo, hi] by scalar bisection.
@@ -157,7 +169,7 @@ def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
     it; water-filling has its own root, so the two solvers cross-check.
     """
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
         if not lo < mid < hi:
             break
         if _fits(thresholds, over_gain, budget, mid):
@@ -203,17 +215,16 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
     """Largest float theta in [lo, hi) with S(theta) <= budget.
 
     ``walk`` is the unbudgeted walk at ``lo``, which fits; ``hi`` does not
-    fit, or lies one float past the lone-user bound. With lambda_n =
-    max(theta, threshold_n), S(theta) = sum_n lambda_n c_n prod_{m>n} (1 +
-    lambda_m). Each lambda_n is convex, nondecreasing and log-convex in log
-    theta, so S is convex in theta and log S is convex in log theta across
-    the threshold kinks too. A Newton step on either, with the right
-    derivative as slope, therefore never lands below the root. Each step
-    takes the nearer of the two, aimed half an ulp above the budget: where
-    S is flat, many floats give S == budget and the root is the last of
-    them. Every probe narrows the bracket [lo, hi]; a step that leaves it
-    (a log step past the float range counts as leaving it), or an S(theta)
-    that overflows, takes the geometric midpoint.
+    fit. With lambda_n = max(theta, threshold_n), S(theta) = sum_n lambda_n
+    c_n prod_{m>n} (1 + lambda_m). Each lambda_n is convex, nondecreasing
+    and log-convex in log theta, so S is convex in theta and log S is convex
+    in log theta across the threshold kinks too. A Newton step on either,
+    with the right derivative as slope, therefore never lands below the
+    root. Each step takes the nearer of the two, aimed half an ulp above the
+    budget: where S is flat, many floats give S == budget and the root is
+    the last of them. Every probe narrows the bracket [lo, hi]; a step that
+    leaves it (a log step past the float range counts as leaving it), or an
+    S(theta) that overflows, takes the geometric midpoint.
     """
     theta = lo
     powers, total = walk
@@ -330,7 +341,7 @@ def solve_bisection(scenario: Scenario, budget: float,
     else:  # the ratio overflows, its log does not
         iterations = math.ceil(math.log2(width) - math.log2(epsilon))
     for _ in range(iterations):
-        t = 0.5 * (lo + hi)
+        t = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
         if _fits(thresholds, over_gain, budget, t):
             lo = t
         else:
@@ -348,32 +359,18 @@ def solve_waterfill(scenario: Scenario, budget: float,
     S(theta) is convex, piecewise polynomial with kinks at the distinct
     thresholds, and strictly increasing past the smallest one. One
     safeguarded Newton root (:func:`_newton_root`) searches the bracket from
-    the smallest threshold, which fits, to one float past the lone-user
-    bound, across the kinks: ``theta_star`` is the largest float with
-    S(theta) <= P_s, so it does not depend on ``epsilon`` or on the search
-    path; a budget with no slack takes the same path. ``iterations``
+    the smallest threshold, which fits, to a few floats past the lone-user
+    bound (``_BRACKET_TOP``), which does not, across the kinks: ``theta_star``
+    is the largest float with S(theta) <= P_s, so it does not depend on
+    ``epsilon`` or on the search path. A budget with no slack and a lone user
+    take the same path; a lone user's theta_star is the largest float with
+    theta * N/G <= P_s, and the budget fold gives it the budget. ``iterations``
     reports how many threshold levels were fully flooded: the distinct
     thresholds <= theta_star, less one.
     """
     thresholds, over_gain, walk = _check_phase2_inputs(scenario, budget, epsilon)
-    if scenario.n_sus == 1:
-        # Degenerate case: the whole budget goes to the only user, exactly.
-        # Clamping repairs the 1-ulp dip below the threshold that float
-        # non-associativity can produce when the budget has zero slack.
-        gain = float(scenario.su_gains[0])
-        noise = float(scenario.su_noise[0])
-        theta = max(budget * gain / noise, float(scenario.su_thresholds[0]))
-        powers = np.asarray([budget])
-        return MaxMinSolution(
-            theta_star=theta,
-            powers=powers,
-            achieved_sinr=_sinr(powers, scenario.su_gains, scenario.su_noise),
-            iterations=0,
-            solver="waterfill",
-        )
     lo = min(thresholds)
-    # The lone-user bound may itself fit, so the bracket ends one float past it.
-    hi = math.nextafter(max(_sinr_upper_bound(scenario, budget), lo), math.inf)
+    hi = max(_sinr_upper_bound(scenario, budget), lo) * _BRACKET_TOP
     theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
     flooded = len({t for t in thresholds if t <= theta}) - 1
@@ -389,42 +386,32 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     them, ``noise`` broadcasting against them, a budget ``budgets[r]`` that
     affords its users at ``threshold``. Returns theta_star (R,) and the powers
     (R, K), 0 in the padded columns, each row equal to ``solve_waterfill`` on
-    its users bit for bit. With one threshold t the only segment is [t, one
-    float past the lone-user bound), where every user sits at theta: the
-    scalar solver's Newton root and last-fit search run on all rows with
-    k_r >= 2 at once, every probe one :func:`_equality_rows` walk of the
-    block, and end on the same canonical theta_star, the largest float with
-    S(theta) <= budget. A padded user costs N/G = 0, so it walks to power 0.0
-    and leaves the total at 0.0: each row's walk is its dense walk bit for
-    bit, and one search serves rows of every count. The lone-user closed form
-    and the budget fold, whose sum must not see the padding, run per count.
+    its users bit for bit. With one threshold t the only segment is [t, the
+    scalar solver's bracket top), where every user sits at theta: its Newton
+    root and last-fit search run on all rows at once, every probe one
+    :func:`_equality_rows` walk of the block, and end on the same canonical
+    theta_star, the largest float with S(theta) <= budget. A padded user
+    costs N/G = 0, so it walks to power 0.0 and leaves the total at 0.0: each
+    row's walk is its dense walk bit for bit, and one search serves rows of
+    every count, one user included. Only the budget fold, whose sum must not
+    see the padding, runs per count.
     """
     noise = np.broadcast_to(noise, gains.shape)
     users = gains.shape[1]
     counts = np.count_nonzero(gains, axis=1)
-    theta, powers = np.empty(len(budgets)), np.zeros(gains.shape)
-    lone = counts == 1
-    # As in solve_waterfill: the whole budget goes to the only user.
-    theta[lone] = np.maximum(budgets[lone] * gains[lone, -1] / noise[lone, -1], threshold)
-    powers[lone, -1] = budgets[lone]
-    rows = np.flatnonzero(~lone)
-    if rows.size:
-        gains, noise, budgets, counts = gains[rows], noise[rows], budgets[rows], counts[rows]
-        lo = np.full(len(rows), threshold)
-        with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
-            over_gain = np.where(gains > 0.0, noise / gains, 0.0)
-            hi = np.nextafter(np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo),
-                              np.inf)
-            lo, hi, level, stride = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
-            level = _last_fit_rows(threshold, over_gain, budgets, lo, hi, level, stride)
-        block = _equality_rows(threshold, over_gain, floor=level)[0]
-        # The budget closes on the weakest user, as in _assemble, summing only
-        # the row's own users: padding would regroup numpy's pairwise sum.
-        for k in set(counts.tolist()):
-            group = np.flatnonzero(counts == k)
-            last = block[group, -1] + (budgets[group] - block[group, users - k:].sum(axis=1))
-            block[group, -1] = np.where(last < 0.0, 0.0, last)
-        theta[rows], powers[rows] = level, block
+    lo = np.full(len(budgets), threshold)
+    with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
+        over_gain = np.where(gains > 0.0, noise / gains, 0.0)
+        hi = np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo) * _BRACKET_TOP
+        lo, hi, theta, stride = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
+        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride)
+    powers = _equality_rows(threshold, over_gain, floor=theta)[0]
+    # The budget closes on the weakest user, as in _assemble, summing only
+    # the row's own users: padding would regroup numpy's pairwise sum.
+    for k in set(counts.tolist()):
+        group = np.flatnonzero(counts == k)
+        last = powers[group, -1] + (budgets[group] - powers[group, users - k:].sum(axis=1))
+        powers[group, -1] = np.where(last < 0.0, 0.0, last)
     return theta, powers
 
 

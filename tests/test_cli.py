@@ -362,7 +362,7 @@ class TestMaxminCommand:
                              "--format", fmt]) == EXIT_CAPACITY
                 assert capsys.readouterr() == (
                     "", f"error: [{solver}] phase-2 SINR beyond the float range "
-                        "(theta* = inf linear)\n")
+                        "(achieved SINR = inf linear, user_index 0)\n")
 
     def test_csv_output(self, scenario_file, tmp_path):
         out_path = tmp_path / "m.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -170,6 +171,20 @@ class TestSolversOnKnownInstances:
         b = solve_bisection(s, 5.0)
         assert abs(b.theta_star - w.theta_star) <= 1e-6
 
+    def test_lone_user_whose_sinr_overflows(self):
+        # B*G/N = 0.1 * 1e300 / 1e-15 ~ 1e314 lies past the largest float and
+        # every float fits: theta* is a finite float and the whole budget goes
+        # to the user; only the achieved SINR overflows. Bisection's midpoints
+        # near the float maximum must not overflow to inf, and its powers to nan.
+        s = Scenario([1e300], [1e-15], [10.0], [], [], 0.1)
+        with np.errstate(over="ignore"):
+            b, w = solve_bisection(s, 0.1), solve_waterfill(s, 0.1)
+        assert w.theta_star == sys.float_info.max
+        assert math.nextafter(sys.float_info.max, 0.0) <= b.theta_star < math.inf
+        for sol in (b, w):
+            np.testing.assert_array_equal(sol.powers, [0.1])
+            assert sol.achieved_sinr.tolist() == [math.inf]
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             solve_waterfill(Scenario([], [], [], [], [], 1.0), 1.0)
@@ -300,9 +315,9 @@ MAX_WALKS_NEAR_ZERO_SLACK = 30
 
 
 def _random_instance(rng, levels_db=(0.0, 3.0, 6.0, 10.0, 20.0)) -> tuple[Scenario, float]:
-    """2-40 users, thresholds from ``levels_db`` ({0, 3, 6, 10, 20} dB by
+    """1-40 users, thresholds from ``levels_db`` ({0, 3, 6, 10, 20} dB by
     default), per-user or common noise, and the total power at the thresholds."""
-    n = int(rng.integers(2, 41))
+    n = int(rng.integers(1, 41))
     gains = np.sort(10 ** rng.uniform(-8, -3, n))[::-1]
     if rng.random() < 0.5:
         noise = 10 ** rng.uniform(-16, -12, n)
@@ -348,8 +363,8 @@ class TestWaterfillRoot:
         theta = solve_waterfill(scenario, budget).theta_star
         count = len(walks)
         assert feasible(scenario, theta, budget)
-        if theta != _lone_user_bound(scenario, budget):
-            assert not feasible(scenario, math.nextafter(theta, math.inf), budget)
+        # Also where the next float is the bracket top: the top never fits.
+        assert not feasible(scenario, math.nextafter(theta, math.inf), budget)
         b = solve_bisection(scenario, budget)
         assert abs(theta - b.theta_star) <= 2 * maxmin.DEFAULT_EPSILON + 1e-12 * theta
         return count
@@ -386,9 +401,9 @@ class TestWaterfillRoot:
     @pytest.mark.parametrize("threshold_db", [0.0, -20.0])
     @pytest.mark.parametrize("n", [30, 60])
     def test_overflowing_top_of_bracket(self, n, threshold_db, monkeypatch):
-        # The top of the bracket, the lone-user bound, is ~1e20 and S there
-        # overflows to inf. At -20 dB the first Newton step from the bottom
-        # also lands where S overflows, and the root must fall back to
+        # The top of the bracket, just past the lone-user bound, is ~1e20 and
+        # S there overflows to inf. At -20 dB the first Newton step from the
+        # bottom also lands where S overflows, and the root must fall back to
         # geometric midpoints until S is finite again.
         rng = np.random.default_rng(n)
         gains = np.sort(10 ** rng.uniform(2, 6, n))[::-1]
@@ -414,6 +429,21 @@ class TestWaterfillRoot:
             base = required * 10 ** rng.uniform(0.0, 1.0)
             for factor in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5, 1e3):
                 self._check_canonical(scenario, base * factor, walks)
+
+    def test_bracket_top_never_fits(self):
+        # The search may end on the float just below the bracket top, so the
+        # top itself must not fit, also for a lone user whose bound fits and
+        # for one whose bound rounds below its threshold (zero slack).
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            scenario, required = _random_instance(rng)
+            lone = scenario.prefix(1)
+            for s, need in ((scenario, required),
+                            (lone, min_power_for_targets(lone, lone.su_thresholds)[0])):
+                for budget in (need, need * 10 ** rng.uniform(0.0, 3.0)):
+                    top = max(maxmin._sinr_upper_bound(s, budget),
+                              min(s.su_thresholds)) * maxmin._BRACKET_TOP
+                    assert not feasible(s, top, budget)
 
     def test_fewer_walks_than_bisection(self, monkeypatch):
         # Bisection runs its fixed halvings and then its own _level_root.
@@ -495,7 +525,6 @@ class TestWaterfillRows:
     def test_near_zero_slack(self, slack):
         # Budget == S at the threshold or 1e-12 above it: often the floats
         # just above the threshold fit too, and theta* is the last of them.
-        # A lone user's budget * G / N can land an ulp below the threshold.
         rng = np.random.default_rng(6)
         above = 0
         for k in range(1, 41):
@@ -508,8 +537,8 @@ class TestWaterfillRows:
     @pytest.mark.parametrize("threshold_db", [0.0, -20.0])
     @pytest.mark.parametrize("k", [30, 60])
     def test_overflowing_top_of_bracket(self, k, threshold_db):
-        # The lone-user bound, the top of the bracket, is ~1e20 and S there
-        # overflows to inf; at -20 dB Newton's first step overflows too.
+        # The top of the bracket, just past the lone-user bound, is ~1e20 and
+        # S there overflows to inf; at -20 dB Newton's first step overflows too.
         rng = np.random.default_rng(k)
         gains = np.sort(10 ** rng.uniform(2, 6, (8, k)), axis=1)[:, ::-1].copy()
         threshold = 10 ** (threshold_db / 10)
