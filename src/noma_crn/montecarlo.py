@@ -139,7 +139,8 @@ class SnapshotRow:
 def channel_gain(model: ChannelModel, distance_m, shadow_db):
     """Linear gain K * 10^(H/10) * D^(-alpha) at a given distance and shadowing."""
     d = np.maximum(distance_m, model.min_distance)
-    return model.system_constant_k * db_to_linear(shadow_db) * d ** (-model.path_loss_exponent)
+    with np.errstate(over="ignore"):  # an infinite gain is refused where it is checked
+        return model.system_constant_k * db_to_linear(shadow_db) * d ** (-model.path_loss_exponent)
 
 
 def _disk_radii(model: ChannelModel, uniforms) -> np.ndarray:

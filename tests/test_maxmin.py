@@ -499,9 +499,78 @@ def _ragged(blocks, width: int = 0):
     return tuple(np.concatenate(parts) for parts in zip(*padded))
 
 
+def _count_row_walks(monkeypatch) -> list:
+    """One entry per row-wise walk (``_equality_rows``) the row kernel runs."""
+    walks = []
+
+    def recording(*args, **kwargs):
+        walks.append(1)
+        return _equality_rows(*args, **kwargs)
+
+    monkeypatch.setattr(maxmin, "_equality_rows", recording)
+    return walks
+
+
+#: Row-wise walks per _waterfill_rows block, from the search's structure:
+#: - one walk at the estimate, the closed-form root, a few floats from theta*;
+#: - at most one Newton correction: a step from a few floats away lands
+#:   within float resolution, and the next step is below the convergence test;
+#: - two last-fit probes: Newton's last theta, kept one float inside the
+#:   bracket, and the float next to it across theta*;
+#: - the walk for the powers at theta*.
+WALKS_PER_BLOCK = 5
+
+
+def _overflowing_blocks():
+    """The blocks of test_overflowing_top_of_bracket and of
+    test_bit_patterns_near_the_top_of_the_float_range, as (threshold, gains,
+    noise, budgets)."""
+    for threshold_db in (0.0, -20.0):
+        for k in (30, 60):
+            rng = np.random.default_rng(k)
+            gains = np.sort(10 ** rng.uniform(2, 6, (8, k)), axis=1)[:, ::-1].copy()
+            yield 10 ** (threshold_db / 10), gains, np.full(k, 1e-15), np.full(8, 0.1)
+    rng = np.random.default_rng(33)
+    gains = np.sort(10 ** rng.uniform(3, 6, (12, 2)), axis=1)[:, ::-1].copy()
+    yield 1e150, gains, 10 ** rng.uniform(-298, -295, (12, 2)), 10 ** rng.uniform(295, 307, 12)
+
+
 class TestWaterfillRows:
     """The sweeps' phase 2 solves a block of rows whose users share one
     threshold at once; every row must equal solve_waterfill bit for bit."""
+
+    def test_walks_per_block(self, monkeypatch):
+        # The blocks of test_random_blocks: k = 1 to 30 users, budgets from
+        # x(1 + 1e-12) to x1e3. A search from the threshold took 8.4 walks a
+        # block there, up to 11.
+        walks = _count_row_walks(monkeypatch)
+        rng = np.random.default_rng(31)
+        for k in range(1, 31):
+            threshold = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0, 30.0]) / 10)
+            gains, noise, required = _common_threshold_block(rng, 24, k, threshold)
+            budgets = required * 10 ** rng.uniform(0.0, 3.0, 24)
+            budgets[::6] = required[::6] * (1.0 + 1e-12)
+            walks.clear()
+            maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            assert len(walks) <= WALKS_PER_BLOCK
+
+    def test_estimate_never_costs_walks(self, monkeypatch):
+        # Where S(theta) overflows at the top of the bracket or theta* is
+        # near the top of the float range, the estimate takes no more walks
+        # than the same search started from the threshold.
+        walks = _count_row_walks(monkeypatch)
+        blocks = list(_overflowing_blocks())
+        estimated = []
+        for block in blocks:
+            walks.clear()
+            maxmin._waterfill_rows(*block)
+            estimated.append(len(walks))
+        monkeypatch.setattr(maxmin, "_estimate_rows", lambda over_gain, exponents, budgets,
+                            lo, hi: lo)
+        for block, count in zip(blocks, estimated):
+            walks.clear()
+            maxmin._waterfill_rows(*block)
+            assert count <= len(walks)
 
     def test_random_blocks(self):
         # Budgets from x1 + 1e-12 (a budget one step away) to x1e3 (theta*

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -248,7 +249,6 @@ class TestRunBatchedKernel:
             run_fig3(model, [10.0], [4], runs=3, master_seed=1)
         assert str(batched.value) == str(scalar.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_first_failing_run_decides_the_error(self):
         # 100 dB shadowing on K = 1e290: some runs draw gains that overflow and
         # are refused; in others a lone admitted user's SINR B*G/N overflows
@@ -340,12 +340,15 @@ class TestRunBatchedKernel:
     def test_one_phase2_search_per_chunk(self, monkeypatch):
         # The chunk's rows admit several counts >= 2; one padded block
         # serves them all, so the Newton and last-fit searches run once.
+        # The counts are bound by name, so no other argument can stand in.
         searched = []
         newton_rows, last_fit_rows = maxmin._newton_rows, maxmin._last_fit_rows
+        signature = inspect.signature(newton_rows)
 
-        def newton(*args):
-            searched.append(("newton", sorted(set(args[-1].tolist()))))
-            return newton_rows(*args)
+        def newton(*args, **kwargs):
+            counts = signature.bind(*args, **kwargs).arguments["counts"]
+            searched.append(("newton", sorted(set(counts.tolist()))))
+            return newton_rows(*args, **kwargs)
 
         def last_fit(*args):
             searched.append(("last_fit", None))
