@@ -38,6 +38,7 @@ each row's answer equals :func:`solve_waterfill`'s bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import sys
@@ -311,10 +312,17 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
     powers[-1] += budget - powers.sum()
     if powers[-1] < 0.0:
         powers[-1] = 0.0
+    # Each SINR comes out within rounding of max(level, threshold), so only a
+    # target in the top half of the float range can overflow, to an inf the
+    # callers refuse by name. Numpy's error state, which costs about as much
+    # as the division, is set only then.
+    overflow_ok = max(level, max(thresholds)) > sys.float_info.max / 2
+    with np.errstate(over="ignore") if overflow_ok else contextlib.nullcontext():
+        achieved_sinr = _sinr(powers, scenario.su_gains, scenario.su_noise)
     return MaxMinSolution(
         theta_star=float(theta_star),
         powers=powers,
-        achieved_sinr=_sinr(powers, scenario.su_gains, scenario.su_noise),
+        achieved_sinr=achieved_sinr,
         iterations=iterations,
         solver=solver,
     )

@@ -266,14 +266,11 @@ def sort_users(
 def _sinr(powers, gains, noise) -> np.ndarray:
     """gamma_n = P_n G_n / (sum_{j<n} P_j G_n + N_n) over the last axis, unchecked.
 
-    After SIC, only the stronger-gain users 1..n-1 interfere with user n. A
-    SINR beyond the float range comes out inf, without a warning; the callers
-    refuse it by name.
+    After SIC, only the stronger-gain users 1..n-1 interfere with user n.
     """
     prior = np.zeros_like(powers)
     np.cumsum(powers[..., :-1], axis=-1, out=prior[..., 1:])
-    with np.errstate(over="ignore"):
-        return powers * gains / (prior * gains + noise)
+    return powers * gains / (prior * gains + noise)
 
 
 def compute_sinr(scenario: Scenario, powers) -> np.ndarray:

@@ -319,7 +319,8 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
         powers[rows[r], c] = block[aligned]
         # A padded user's SINR is 0; each count's users are converted and
         # averaged alone, in the one-run chain's summation order.
-        sinr = _sinr(block, block_gains, noise[:width])
+        with np.errstate(over="ignore"):  # an inf SINR is refused in linear_to_db
+            sinr = _sinr(block, block_gains, noise[:width])
         min_db, mean_db = np.empty(len(rows)), np.empty(len(rows))
         for size in sorted(set(k.tolist())):
             group = np.flatnonzero(k == size)
