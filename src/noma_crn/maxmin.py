@@ -38,7 +38,6 @@ each row's answer equals :func:`solve_waterfill`'s bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 import sys
@@ -301,6 +300,11 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     return _bits_float(fit)
 
 
+#: The top half of the float range, where a SINR computed within rounding
+#: of its target can overflow.
+_NEAR_FLOAT_MAX = sys.float_info.max / 2
+
+
 def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float],
               budget: float, theta_star: float, level: float, iterations: int,
               solver: str) -> MaxMinSolution:
@@ -316,8 +320,10 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
     # target in the top half of the float range can overflow, to an inf the
     # callers refuse by name. Numpy's error state, which costs about as much
     # as the division, is set only then.
-    overflow_ok = max(level, max(thresholds)) > sys.float_info.max / 2
-    with np.errstate(over="ignore") if overflow_ok else contextlib.nullcontext():
+    if level > _NEAR_FLOAT_MAX or max(thresholds) > _NEAR_FLOAT_MAX:
+        with np.errstate(over="ignore"):
+            achieved_sinr = _sinr(powers, scenario.su_gains, scenario.su_noise)
+    else:
         achieved_sinr = _sinr(powers, scenario.su_gains, scenario.su_noise)
     return MaxMinSolution(
         theta_star=float(theta_star),
