@@ -409,8 +409,8 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     (:func:`_estimate_rows`), starts the Newton search, which then runs with
     the last-fit search on all rows at once, every probe one
     :func:`_equality_rows` walk of the block, and ends on the same canonical
-    theta_star, the largest float with S(theta) <= budget: about four walks a
-    block, the powers' included, where a start from t took eight. A padded user
+    theta_star, the largest float with S(theta) <= budget, in about four
+    walks a block, the powers' included. A padded user
     costs N/G = 0, so it walks to power 0.0 and leaves the total at 0.0: each
     row's walk is its dense walk bit for bit, and one search serves rows of
     every count, one user included. Only the budget fold, whose sum must not
@@ -440,8 +440,8 @@ def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
 
     Row r's ``counts[r]`` users sit in its last columns, after padding that
     costs nothing. The search starts from :func:`_estimate_rows`, the root of
-    S(theta)'s closed form, rather than from ``lo``: its first walk lands
-    within a few floats of theta*, and one Newton step, rarely two, finishes.
+    S(theta)'s closed form: its first walk lands within a few floats of
+    theta*, and one Newton step, rarely two, finishes.
     Returns the narrowed brackets, each row's last theta, one float inside
     its bracket (an end is a float already probed), and its gallop stride,
     for :func:`_last_fit_rows`.
