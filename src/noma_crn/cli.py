@@ -52,7 +52,7 @@ from .model import power_budget, read_scenario
 from .montecarlo import ChannelModel, run_fig2, run_fig3, run_fig4
 from .oracle import GridSpec, oracle_max_admitted, oracle_max_min_sinr
 from .pipeline import _SOLVERS, run_two_phase
-from .units import linear_to_db, watts_to_dbm
+from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 __all__ = ["RunConfig", "parse_config", "main", "entrypoint"]
 
@@ -110,7 +110,7 @@ def _list_of(parse):
 
 
 def _db_range(value) -> tuple[float, float]:
-    bounds = _list_of(_scalar(float))(value)
+    bounds = _list_of(_DB)(value)
     if len(bounds) != 2 or bounds[0] > bounds[1]:
         raise ValueError(f"expected 'low,high' with low <= high, got {value!r}")
     return bounds
@@ -147,6 +147,8 @@ _ALL = (*_FILES, *_SIM)
 _TEXT = _scalar(str)
 _COUNT = _scalar(int, lambda n: n >= 0, "at least 0")
 _POSITIVE = _scalar(int, lambda n: n >= 1, "at least 1")
+_DB = _scalar(float, np.errstate(over="ignore")(lambda x: 0.0 < db_to_linear(x) < math.inf),
+              "a dB value whose linear value is positive and finite")
 
 _OPTIONS = (
     _Option("scenario", _TEXT, None, _FILES, "scenario file path", required=True),
@@ -161,7 +163,7 @@ _OPTIONS = (
     _Option("sus", _COUNT, 15, ("fig4",), "requesting users for fig4"),
     _Option("n_values", _list_of(_COUNT), (5, 10, 15), _SWEEPS,
             "comma list of requesting-user counts"),
-    _Option("targets_db", _list_of(_scalar(float)), (5.0, 10.0, 15.0, 20.0, 25.0), _SWEEPS,
+    _Option("targets_db", _list_of(_DB), (5.0, 10.0, 15.0, 20.0, 25.0), _SWEEPS,
             "comma list of targeted SINRs (dB)"),
     _Option("threshold_range_db", _db_range, (5.0, 25.0), ("fig4",),
             "low,high dB range for fig4 per-user targets"),

@@ -4,7 +4,8 @@ Given the admitted set (a Scenario restricted to it, see ``Scenario.prefix``)
 and the full budget P_s, find power levels that push the lowest SINR as high
 as possible while nobody drops below their own threshold. At the optimum
 every user sits at ``max(theta_star, threshold)`` and the budget is spent
-completely; this characterization makes the optimum unique.
+completely; this characterization makes the optimum unique. Every solve
+closes the budget on the weakest user from its final walk's own total.
 
 The SINR constraints are lower-triangular in the ordered powers, so the
 minimal total power S(theta) holding everyone at ``max(theta, threshold_n)``
@@ -309,13 +310,11 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
               budget: float, theta_star: float, level: float, iterations: int,
               solver: str) -> MaxMinSolution:
     """Powers at targets max(level, thresholds), budget closed on the last user."""
-    powers, _ = _equality_walk(thresholds, over_gain, floor=level)
+    powers, total = _equality_walk(thresholds, over_gain, floor=level)
+    # Fold the (roundoff-level) residual against the walk's own total into the
+    # weakest user; only its own SINR moves, and only by ~1 ulp.
+    powers[-1] = max(powers[-1] + (budget - total), 0.0)
     powers = np.asarray(powers)
-    # Fold the (roundoff-level) residual into the weakest user so the budget
-    # is spent exactly; only its own SINR moves, and only by ~1 ulp.
-    powers[-1] += budget - powers.sum()
-    if powers[-1] < 0.0:
-        powers[-1] = 0.0
     # Each SINR comes out within rounding of max(level, threshold), so only a
     # target in the top half of the float range can overflow, to an inf the
     # callers refuse by name. Numpy's error state, which costs about as much
@@ -412,12 +411,10 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     theta_star, the largest float with S(theta) <= budget, in about four
     walks a block, the powers' included. A padded user
     costs N/G = 0, so it walks to power 0.0 and leaves the total at 0.0: each
-    row's walk is its dense walk bit for bit, and one search serves rows of
-    every count, one user included. Only the budget fold, whose sum must not
-    see the padding, runs per count.
+    row's walk is its dense walk bit for bit, total included, and one search
+    and one budget fold serve rows of every count, one user included.
     """
     noise = np.broadcast_to(noise, gains.shape)
-    users = gains.shape[1]
     counts = np.count_nonzero(gains, axis=1)
     lo = np.full(len(budgets), threshold)
     with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
@@ -425,13 +422,10 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
         hi = np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo) * _BRACKET_TOP
         lo, hi, theta, stride = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
         theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride)
-    powers = _equality_rows(threshold, over_gain, floor=theta)[0]
-    # The budget closes on the weakest user, as in _assemble, summing only
-    # the row's own users: padding would regroup numpy's pairwise sum.
-    for k in set(counts.tolist()):
-        group = np.flatnonzero(counts == k)
-        last = powers[group, -1] + (budgets[group] - powers[group, users - k:].sum(axis=1))
-        powers[group, -1] = np.where(last < 0.0, 0.0, last)
+    powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
+    # The budget closes on the weakest user against the walk's total, as in _assemble.
+    last = powers[:, -1] + (budgets - total)
+    powers[:, -1] = np.where(last < 0.0, 0.0, last)
     return theta, powers
 
 

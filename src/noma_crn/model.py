@@ -336,14 +336,15 @@ def read_scenario(path: str) -> Scenario:
         if required not in scalars:
             raise ScenarioParseError(f"{path}: missing required '{required}' line")
     n = len(su_rows)
-    return sort_users(
-        [db_to_linear(g) for g, _ in su_rows],
-        [dbm_to_watts(scalars["noise_dbm"])] * n if n else [],
-        [db_to_linear(t) for _, t in su_rows],
-        pu_gains=[db_to_linear(g) for g, _ in pu_rows],
-        pu_interference_limits=[dbm_to_watts(lim) for _, lim in pu_rows],
-        p_max=dbm_to_watts(scalars["pmax_dbm"]),
-    )
+    with np.errstate(over="ignore"):  # Scenario refuses a value beyond the float range
+        return sort_users(
+            [db_to_linear(g) for g, _ in su_rows],
+            [dbm_to_watts(scalars["noise_dbm"])] * n if n else [],
+            [db_to_linear(t) for _, t in su_rows],
+            pu_gains=[db_to_linear(g) for g, _ in pu_rows],
+            pu_interference_limits=[dbm_to_watts(lim) for _, lim in pu_rows],
+            p_max=dbm_to_watts(scalars["pmax_dbm"]),
+        )
 
 
 def write_scenario(path: str, scenario: Scenario) -> None:

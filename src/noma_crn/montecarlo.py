@@ -255,7 +255,8 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
     """
     su_u, su_shadow, pu_u, pu_shadow = (
         draws[0] for draws in _draw_rows(model, [np.random.default_rng(rng_seed)], 1))
-    thresholds = np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,))
+    with np.errstate(over="ignore"):  # Scenario refuses a threshold beyond the float range
+        thresholds = np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,))
     return sort_users(
         channel_gain(model, _disk_radii(model, su_u), su_shadow),
         np.full(model.num_sus, dbm_to_watts(model.su_noise_dbm)),
@@ -291,10 +292,10 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     gains = np.take_along_axis(gains, np.argsort(-gains, axis=1, kind="stable"), axis=1)
     pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
     noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
-    thresholds = np.full(n, db_to_linear(threshold_db))
     limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
     p_max = float(dbm_to_watts(model.p_max_dbm))
     with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+        thresholds = np.full(n, db_to_linear(threshold_db))
         budgets = _budgets(pu_gains, limits, p_max)
     shared_ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
     ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
@@ -384,11 +385,12 @@ def _sweep(experiment, model, targeted_sinr_grid_db, n_values, runs, master_seed
         for ti, t_db in enumerate(targeted_sinr_grid_db)
         for ni, n in enumerate(n_values)
     ]
-    if n_jobs <= 1:
+    workers = min(n_jobs, len(tasks))  # the pool starts every worker, busy or not
+    if workers <= 1:
         return [_grid_point_stats(t) for t in tasks]
     # Grid points are independent; collecting with map() keeps the output
     # order (and therefore any downstream CSV) identical to the serial path.
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_grid_point_stats, tasks))
 
 

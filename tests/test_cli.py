@@ -164,12 +164,21 @@ class TestParseConfig:
         (SIM_FIG4 + ["--epsilon", "1e-6"], None, "--epsilon: not read by --experiment fig4"),
         (["simulate", "--experiment", "fig3", "--pus", "1"], {"epsilon": 1e-6},
          "epsilon: not read by --experiment fig3"),
+        # dB values whose linear value overflows to inf or underflows to 0.
+        (SIM_FIG2 + ["--runs", "5", "--targets-db", "4000"], None, "--targets-db"),
+        (SIM_FIG2 + ["--runs", "5", "--targets-db=5,-4000"], None, "--targets-db"),
+        (["simulate", "--experiment", "fig2", "--pus", "1", "--n-values", "3", "--runs", "5"],
+         {"targets_db": [4000]}, "targets_db"),
+        (SIM_FIG4 + ["--threshold-range-db", "1e308,1e308"], None, "--threshold-range-db"),
+        (SIM_FIG4 + ["--threshold-range-db=-4000,5"], None, "--threshold-range-db"),
     ], ids=["config-runs-text", "config-solver", "config-experiment", "config-format",
             "config-grid-points", "config-seed-fraction", "config-runs-bool", "flag-sus-negative",
             "flag-n-values-empty", "flag-threshold-range-reversed", "flag-grid-points-one",
             "flag-targets-db-empty", "flag-grid-points-negative", "flags-unread-by-fig2",
             "flags-unread-by-fig4", "config-unread-by-fig4", "flag-epsilon-unread-by-fig3",
-            "flag-epsilon-unread-by-fig4", "config-epsilon-unread-by-fig3"])
+            "flag-epsilon-unread-by-fig4", "config-epsilon-unread-by-fig3",
+            "flag-targets-db-overflow", "flag-targets-db-underflow", "config-targets-db-overflow",
+            "flag-threshold-range-overflow", "flag-threshold-range-underflow"])
     def test_malformed_option_value_is_usage_error(self, tmp_path, capsys, scenario_file,
                                                    argv, config, name):
         if argv[0] != "simulate":
@@ -195,6 +204,14 @@ class TestMainExitCodes:
     def test_bad_scenario_file_is_parse_error(self, tmp_path, capsys):
         path = write_text(tmp_path / "bad.txt", "wat 1\n")
         assert main(["admit", "--scenario", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("line", ["su 10 4000", "su 10 -4000", "su 4000 10"])
+    def test_file_value_beyond_the_float_range_is_parse_error(self, tmp_path, capsys, line):
+        # The linear value overflows to inf or underflows to 0: refused by
+        # Scenario's checks, with no numpy warning (warnings are errors here).
+        path = write_text(tmp_path / "big.txt", f"noise_dbm -120\npmax_dbm 20\n{line}\n")
+        assert main(["maxmin", "--scenario", path]) == EXIT_PARSE
+        assert "strictly positive and finite" in capsys.readouterr().err
 
     def test_capacity_error_from_verify(self, tmp_path):
         lines = ["noise_dbm -120", "pmax_dbm 20"] + [f"su -{50 + i} 5" for i in range(13)]

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ from noma_crn import maxmin
 from noma_crn.model import _equality_rows, _equality_walk
 
 from conftest import random_admitted_instance
+
+
+def _assert_budget_spent(powers: np.ndarray, budget: float) -> None:
+    """The budget fold's contract: the powers of k users, summed exactly with
+    fractions, are within (k/2 + 1) ulp(B) of the budget B.
+
+    The fold walks at a theta that fits, so every partial total t_n =
+    fl(t_(n-1) + p_n) of its walk is at most B and rounds by at most half an
+    ulp of B; t_1 = p_1 is exact. The walk's total T is thus the exact sum of
+    its powers p_n plus e_0, |e_0| <= (k - 1)/2 ulp(B). The fold computes
+    d = fl(B - T), 0 <= B - T <= B, with error e_1, |e_1| <= ulp(B)/2, and
+    last = fl(p_k + d) with error e_2, so the folded powers sum exactly to
+    B + e_1 + e_2 - e_0. Since p_k + d <= B + k/2 ulp(B) < 2B, the last
+    rounding is at most half an ulp of a value below 2B: |e_2| <= ulp(B),
+    one full ulp because that sum may cross into the binade above B. A last
+    that rounds below 0 is set to 0; the sum is then t_(k-1) plus its
+    rounding, within the same bound. In all, (k - 1)/2 + 1/2 + 1 ulps.
+    """
+    error = abs(sum(map(Fraction, powers.tolist())) - Fraction(budget))
+    assert error <= (Fraction(len(powers), 2) + 1) * Fraction(math.ulp(budget))
 
 
 def unit_pair(thresholds=(1.0, 1.0)) -> Scenario:
@@ -223,7 +244,7 @@ class TestSolverProperties:
             for sol in (b, w):
                 expected = np.maximum(sol.theta_star, scenario.su_thresholds)
                 np.testing.assert_allclose(sol.achieved_sinr, expected, rtol=1e-6)
-                assert sol.powers.sum() == pytest.approx(budget, rel=1e-9)
+                _assert_budget_spent(sol.powers, budget)
                 assert sol.theta_star >= float(np.min(scenario.su_thresholds))
                 assert np.all(sol.powers >= 0.0)
 
@@ -360,13 +381,16 @@ class TestWaterfillRoot:
     def _check_canonical(self, scenario, budget, walks) -> int:
         """Check one water-filling solve; returns the walks it ran."""
         walks.clear()
-        theta = solve_waterfill(scenario, budget).theta_star
+        w = solve_waterfill(scenario, budget)
         count = len(walks)
+        theta = w.theta_star
         assert feasible(scenario, theta, budget)
         # Also where the next float is the bracket top: the top never fits.
         assert not feasible(scenario, math.nextafter(theta, math.inf), budget)
         b = solve_bisection(scenario, budget)
         assert abs(theta - b.theta_star) <= 2 * maxmin.DEFAULT_EPSILON + 1e-12 * theta
+        for sol in (w, b):
+            _assert_budget_spent(sol.powers, budget)
         return count
 
     def test_theta_is_the_largest_fitting_float(self, monkeypatch):
@@ -485,6 +509,12 @@ def _rows_equal_scalar(threshold: float, gains, noise, budgets) -> np.ndarray:
     return theta
 
 
+def _assert_rows_spend_budgets(gains, powers, budgets) -> None:
+    """:func:`_assert_budget_spent` on each row's own users, its nonzero gains."""
+    for row_gains, row_powers, budget in zip(gains, powers, budgets.tolist()):
+        _assert_budget_spent(row_powers[len(row_gains) - np.count_nonzero(row_gains):], budget)
+
+
 def _ragged(blocks, width: int = 0):
     """Stack (gains, noise, budgets) blocks of different user counts into one
     block at least ``width`` wide, each row's users right-aligned after zero
@@ -541,8 +571,9 @@ class TestWaterfillRows:
 
     def test_walks_per_block(self, monkeypatch):
         # The blocks of test_random_blocks: k = 1 to 30 users, budgets from
-        # x(1 + 1e-12) to x1e3. A search from the threshold took 8.4 walks a
-        # block there, up to 11.
+        # x(1 + 1e-12) to x1e3, here with zero-slack rows too. A search from
+        # the threshold took 8.4 walks a block there, up to 11. Every row
+        # spends its budget to the fold's rounding bound.
         walks = _count_row_walks(monkeypatch)
         rng = np.random.default_rng(31)
         for k in range(1, 31):
@@ -550,21 +581,25 @@ class TestWaterfillRows:
             gains, noise, required = _common_threshold_block(rng, 24, k, threshold)
             budgets = required * 10 ** rng.uniform(0.0, 3.0, 24)
             budgets[::6] = required[::6] * (1.0 + 1e-12)
+            budgets[3::6] = required[3::6]
             walks.clear()
-            maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
             assert len(walks) <= WALKS_PER_BLOCK
+            _assert_rows_spend_budgets(gains, powers, budgets)
 
     def test_estimate_never_costs_walks(self, monkeypatch):
         # Where S(theta) overflows at the top of the bracket or theta* is
         # near the top of the float range, the estimate takes no more walks
         # than the same search started from the threshold.
+        # Every row also spends its budget to the fold's rounding bound.
         walks = _count_row_walks(monkeypatch)
         blocks = list(_overflowing_blocks())
         estimated = []
-        for block in blocks:
+        for threshold, gains, noise, budgets in blocks:
             walks.clear()
-            maxmin._waterfill_rows(*block)
+            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
             estimated.append(len(walks))
+            _assert_rows_spend_budgets(gains, powers, budgets)
         monkeypatch.setattr(maxmin, "_estimate_rows", lambda over_gain, exponents, budgets,
                             lo, hi: lo)
         for block, count in zip(blocks, estimated):

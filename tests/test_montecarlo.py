@@ -179,6 +179,47 @@ class TestExperiments:
         parallel = run_fig3(model, [8.0, 20.0], [3, 5], runs=25, master_seed=3, n_jobs=2)
         assert serial == parallel
 
+    def test_pool_is_no_wider_than_the_grid(self, monkeypatch):
+        # A stand-in pool records its width and maps serially, so no worker
+        # process starts whatever n_jobs asks for.
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        model = small_model(n=5, m=1)
+        serial = run_fig2(model, [8.0, 20.0], [3, 5, 4], runs=5, master_seed=3)
+        for n_jobs, width in ((100_000, 6), (6, 6), (4, 4)):
+            assert run_fig2(model, [8.0, 20.0], [3, 5, 4], runs=5, master_seed=3,
+                            n_jobs=n_jobs) == serial
+            assert widths.pop() == width
+        # A one-point grid takes the serial path.
+        run_fig3(model, [8.0], [3], runs=5, master_seed=3, n_jobs=100_000)
+        assert widths == []
+
+    @pytest.mark.parametrize("target_db", [4000.0, -4000.0])
+    def test_threshold_beyond_the_float_range_raises_the_scalar_error(self, target_db):
+        # Its linear value overflows to inf or underflows to 0; both paths
+        # refuse it with Scenario's error and no numpy warning.
+        model = small_model(n=2, m=1)
+        with pytest.raises(ValueError, match="su_thresholds entries") as scalar:
+            scalar_chain("fig3", model, [target_db], [2], 3, 0)
+        for sweep in SWEEPS.values():
+            with pytest.raises(ValueError) as batched:
+                sweep(model, [target_db], [2], 3, 0)
+            assert str(batched.value) == str(scalar.value)
+
     def test_worker_count_is_keyword_only(self):
         # A sixth positional argument, such as a stale tolerance, is refused
         # rather than taken for a worker count.
