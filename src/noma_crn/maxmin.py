@@ -31,8 +31,9 @@ of an (R, K) block, each probe one row-wise walk (``model._equality_rows``).
 Sets of fewer than K users are padded with users of zero cost, which leave
 the walk's bits alone, so one search serves a block of every admitted count.
 With one threshold, S(theta) past it is a polynomial in closed form; a few
-Newton steps on it, array arithmetic with no walk, start the search within a
-few floats of theta*, and a block takes about four walks.
+Newton steps on it, array arithmetic with no walk, land within a few floats of
+theta*. One walk there, one Newton step from that walk and the last-fit search
+finish, with no loop of their own, and a block takes about four walks.
 Because theta* is the largest fitting float, not wherever a search stopped,
 each row's answer equals :func:`solve_waterfill`'s bit for bit.
 """
@@ -247,7 +248,8 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
             # onto an end must not restart the search from the far end.
             if abs(step) <= 4e-16 * theta:
                 # Floats per ulp of S: how far the flat run of S == budget reaches.
-                stride = int(min(max(1.0, math.ulp(budget) * theta / (slope * math.ulp(theta))),
+                # Grouped so that nothing underflows to a zero divisor.
+                stride = int(min(max(1.0, math.ulp(budget) / slope * (theta / math.ulp(theta))),
                                  2.0 ** 52))
                 theta += step
                 break
@@ -405,14 +407,15 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     its users bit for bit. With one threshold t the only segment is [t, the
     scalar solver's bracket top), where every user sits at theta, so S(theta)
     is a polynomial in closed form. Its root, found without a walk
-    (:func:`_estimate_rows`), starts the Newton search, which then runs with
-    the last-fit search on all rows at once, every probe one
-    :func:`_equality_rows` walk of the block, and ends on the same canonical
-    theta_star, the largest float with S(theta) <= budget, in about four
-    walks a block, the powers' included. A padded user
-    costs N/G = 0, so it walks to power 0.0 and leaves the total at 0.0: each
-    row's walk is its dense walk bit for bit, total included, and one search
-    and one budget fold serve rows of every count, one user included.
+    (:func:`_estimate_rows`), is walked once; one Newton step from that walk
+    (:func:`_newton_rows`) and the last-fit search then run on all rows at
+    once, every probe one :func:`_equality_rows` walk of the block, and end
+    on the same canonical theta_star, the largest float with
+    S(theta) <= budget, in about four walks a block, the powers' included.
+    A padded user costs N/G = 0, so it walks to power 0.0 and leaves the
+    total at 0.0: each row's walk is its dense walk bit for bit, total
+    included, and one search and one budget fold serve rows of every count,
+    one user included.
     """
     noise = np.broadcast_to(noise, gains.shape)
     counts = np.count_nonzero(gains, axis=1)
@@ -420,8 +423,8 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
         over_gain = np.where(gains > 0.0, noise / gains, 0.0)
         hi = np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo) * _BRACKET_TOP
-        lo, hi, theta, stride = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
-        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride)
+        lo, hi, theta = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
+        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta)
     powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
     # The budget closes on the weakest user against the walk's total, as in _assemble.
     last = powers[:, -1] + (budgets - total)
@@ -430,17 +433,18 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
 
 
 def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
-    """:func:`_newton_root` masked per row, on one segment where every user is floored.
+    """:func:`_newton_root`'s first step on every row, on one segment where every user is floored.
 
     Row r's ``counts[r]`` users sit in its last columns, after padding that
-    costs nothing. The search starts from :func:`_estimate_rows`, the root of
-    S(theta)'s closed form: its first walk lands within a few floats of
-    theta*, and one Newton step, rarely two, finishes.
-    Returns the narrowed brackets, each row's last theta, one float inside
-    its bracket (an end is a float already probed), and its gallop stride,
-    for :func:`_last_fit_rows`.
+    costs nothing. One walk at :func:`_estimate_rows`, the root of S(theta)'s
+    closed form, narrows each row's bracket, and one Newton step from that
+    walk's total and slope takes an estimate a few floats off to within a
+    float or two of theta*; a row whose slope is not finite and positive
+    keeps the estimate. Returns the narrowed brackets and each row's theta,
+    one float inside its bracket (an end is a float already probed), for
+    :func:`_last_fit_rows`, which finishes from any start inside the bracket.
     """
-    rows, users = over_gain.shape
+    users = over_gain.shape[1]
     # Later users per user; 0 for padding, whose (1 + theta)**e could
     # overflow alone and turn its 0 power into nan.
     exponents = np.arange(users - 1, -1, -1.0)
@@ -450,36 +454,14 @@ def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
     fit = total <= budgets
     lo = np.where(fit, theta, lo)
     hi = np.where(fit, hi, theta)
-    ulp = np.spacing(budgets)
-    half_ulp = 0.5 * ulp
-    rel_half_ulp = half_ulp / budgets
-    stride = np.ones(rows)
-    searching = np.ones(rows, dtype=bool)
-    for _ in range(100):
-        # theta * S'(theta): user n's power times (1 + theta) per later user.
-        slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)
-        newton = searching & (0.0 < slope) & (slope < math.inf)
-        step = theta * np.minimum(np.expm1((np.log(budgets / total) + rel_half_ulp) * (total / slope)),
-                                  (budgets - total + half_ulp) / slope)
-        converged = newton & (np.abs(step) <= 4e-16 * theta)
-        if converged.any():
-            # Floats per ulp of S: how far the flat run of S == budget reaches.
-            flat_run = ulp * theta / (slope * np.spacing(theta))
-            stride = np.where(converged, np.fmin(np.fmax(flat_run, 1.0), 2.0 ** 52), stride)
-            searching &= ~converged
-        theta = np.where(newton, theta + step, theta)
-        outside = searching & ~((lo < theta) & (theta < hi))
-        if outside.any():
-            theta = np.where(outside, np.sqrt(lo) * np.sqrt(hi), theta)
-            searching &= ~(outside & ~((lo < theta) & (theta < hi)))
-        if not searching.any():
-            break
-        powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
-        fit = total <= budgets
-        lo = np.where(searching & fit, theta, lo)
-        hi = np.where(searching & ~fit, theta, hi)
-    theta = np.clip(theta, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    return lo, hi, theta, stride.astype(np.int64)
+    half_ulp = 0.5 * np.spacing(budgets)
+    # theta * S'(theta): user n's power times (1 + theta) per later user.
+    slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)
+    step = theta * np.minimum(np.expm1((np.log(budgets / total) + half_ulp / budgets)
+                                       * (total / slope)),
+                              (budgets - total + half_ulp) / slope)
+    theta = np.where((0.0 < slope) & (slope < math.inf), theta + step, theta)
+    return lo, hi, np.clip(theta, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
 
 def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:
@@ -493,7 +475,8 @@ def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:
     stops once a step is below 1e-8 of theta, which leaves an error of about
     its square. The polynomial's rounding and the walk's differ, so the
     result is a start, not theta*; a row whose estimate is not inside
-    (lo, hi), its polynomial having overflowed, starts at ``lo``.
+    (lo, hi), its polynomial having overflowed, starts at ``lo``, far from
+    theta*, and is finished by the one Newton step and the last fit.
     """
     users = over_gain.shape[1]
     # Weights 1 and e_n of the two row sums below: a user in column j has
@@ -515,8 +498,10 @@ def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:
     return np.where((lo < theta) & (theta < hi), theta, lo)
 
 
-def _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride) -> np.ndarray:
-    """:func:`_last_fit` masked per row, over int64 float bit patterns."""
+def _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta) -> np.ndarray:
+    """:func:`_last_fit` masked per row, over int64 float bit patterns, with a
+    first stride of one float: the galloping rows double their strides in
+    lockstep, so one stride serves them all."""
 
     def fits(probe, where, fit):
         floor = np.where(where, probe, fit).view(np.float64)
@@ -529,13 +514,14 @@ def _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta, stride) -> np.n
         ok = fits(start, probing, fit)
         fit, miss = np.where(ok, start, fit), np.where(probing & ~ok, start, miss)
     upward = start == fit
+    stride = 1
     galloping = miss - fit > stride
     while galloping.any():
         probe = np.where(upward, fit + stride, miss - stride)
         ok = fits(probe, galloping, fit)
         fit, miss = np.where(ok, probe, fit), np.where(galloping & ~ok, probe, miss)
         galloping &= ok == upward
-        stride = np.minimum(2 * stride, 2 ** 62)
+        stride = min(2 * stride, 2 ** 62)
         galloping &= miss - fit > stride
     while True:
         bisecting = miss - fit > 1

@@ -255,16 +255,16 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
     """
     su_u, su_shadow, pu_u, pu_shadow = (
         draws[0] for draws in _draw_rows(model, [np.random.default_rng(rng_seed)], 1))
-    with np.errstate(over="ignore"):  # Scenario refuses a threshold beyond the float range
-        thresholds = np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,))
-    return sort_users(
-        channel_gain(model, _disk_radii(model, su_u), su_shadow),
-        np.full(model.num_sus, dbm_to_watts(model.su_noise_dbm)),
-        thresholds,
-        pu_gains=channel_gain(model, _disk_radii(model, pu_u), pu_shadow),
-        pu_interference_limits=np.full(model.num_pus, dbm_to_watts(model.pu_interference_limit_dbm)),
-        p_max=dbm_to_watts(model.p_max_dbm),
-    )
+    with np.errstate(over="ignore"):  # Scenario refuses a value beyond the float range
+        return sort_users(
+            channel_gain(model, _disk_radii(model, su_u), su_shadow),
+            np.full(model.num_sus, dbm_to_watts(model.su_noise_dbm)),
+            np.broadcast_to(db_to_linear(threshold_db), (model.num_sus,)),
+            pu_gains=channel_gain(model, _disk_radii(model, pu_u), pu_shadow),
+            pu_interference_limits=np.full(model.num_pus,
+                                           dbm_to_watts(model.pu_interference_limit_dbm)),
+            p_max=dbm_to_watts(model.p_max_dbm),
+        )
 
 
 def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: float,
@@ -291,10 +291,10 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     gains = channel_gain(model, _disk_radii(model, su_u), su_shadow)
     gains = np.take_along_axis(gains, np.argsort(-gains, axis=1, kind="stable"), axis=1)
     pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
-    noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
-    limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
-    p_max = float(dbm_to_watts(model.p_max_dbm))
     with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+        noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
+        limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
+        p_max = float(dbm_to_watts(model.p_max_dbm))
         thresholds = np.full(n, db_to_linear(threshold_db))
         budgets = _budgets(pu_gains, limits, p_max)
     shared_ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
@@ -380,6 +380,8 @@ def _sweep(experiment, model, targeted_sinr_grid_db, n_values, runs, master_seed
            n_jobs) -> list[ExperimentStats]:
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be at least 1")
     tasks = [
         (experiment, model, float(t_db), ti, ni, int(n), int(runs), int(master_seed))
         for ti, t_db in enumerate(targeted_sinr_grid_db)

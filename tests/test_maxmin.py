@@ -543,9 +543,10 @@ def _count_row_walks(monkeypatch) -> list:
 
 #: Row-wise walks per _waterfill_rows block, from the search's structure:
 #: - one walk at the estimate, the closed-form root, a few floats from theta*;
-#: - at most one Newton correction: a step from a few floats away lands
-#:   within float resolution, and the next step is below the convergence test;
-#: - two last-fit probes: Newton's last theta, kept one float inside the
+#:   it closes one end of each row's bracket there;
+#: - none for the Newton step: it takes that walk's total and slope, and from
+#:   a few floats away it lands within float resolution of theta*;
+#: - two last-fit probes: the step's theta, kept one float inside the
 #:   bracket, and the float next to it across theta*;
 #: - the walk for the powers at theta*.
 WALKS_PER_BLOCK = 5
@@ -625,6 +626,42 @@ class TestWaterfillRows:
         required = _equality_rows(10.0, noise / gains)[2]
         _rows_equal_scalar(10.0, gains, noise, required * 10 ** rng.uniform(0.0, 2.0, 16))
 
+    def test_extreme_inputs(self, monkeypatch):
+        # Thresholds from 1e-30 to 1e200, a common noise from 1e-300 to 1e10
+        # and budgets up to 1e300 times what the threshold costs, the finite
+        # ones kept. The estimate's polynomial overflows on many rows, which
+        # then start at the threshold, far from theta*: there one Newton step
+        # and the last fit alone must end on the scalar solver's theta*.
+        estimates = []
+        estimate_rows = maxmin._estimate_rows
+
+        def recording(*args):
+            estimates.append(estimate_rows(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(maxmin, "_estimate_rows", recording)
+        rng = np.random.default_rng(36)
+        rows = far = 0
+        for k in list(range(1, 61)) * 5:
+            threshold = 10 ** rng.uniform(-30.0, 200.0)
+            gains = np.sort(10 ** rng.uniform(-8, -3, (12, k)), axis=1)[:, ::-1].copy()
+            noise = np.full(k, 10 ** rng.uniform(-300.0, 10.0))
+            with np.errstate(over="ignore"):
+                budgets = (_equality_rows(threshold, noise / gains)[2]
+                           * 10 ** rng.uniform(0.0, 300.0, 12))
+            keep = np.isfinite(budgets)
+            if not keep.any():
+                continue
+            gains, budgets = gains[keep], budgets[keep]
+            estimates.clear()
+            theta = _rows_equal_scalar(threshold, gains, noise, budgets)
+            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            _assert_rows_spend_budgets(gains, powers, budgets)
+            rows += len(budgets)
+            far += np.count_nonzero(np.abs(theta.view(np.int64) - estimates[0].view(np.int64))
+                                    > 2 ** 20)
+        assert rows > 500 and far > 50
+
     @pytest.mark.parametrize("slack", [0.0, 1e-12])
     def test_near_zero_slack(self, slack):
         # Budget == S at the threshold or 1e-12 above it: often the floats
@@ -670,7 +707,7 @@ class TestWaterfillRows:
         lo = np.full(rows, threshold)
         with np.errstate(all="ignore"):
             fit = maxmin._last_fit_rows(threshold, over_gain, budgets, lo, np.full(rows, math.inf),
-                                        lo, np.ones(rows, dtype=np.int64))
+                                        lo)
         assert fit.tolist() == theta.tolist()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -710,9 +747,10 @@ class TestWaterfillRows:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_padding_leaves_the_search_path_alone(self, monkeypatch):
         # theta* ~1e300 for two users: (1 + theta)**e overflows for e >= 2, so
-        # only the padding's exponents overflow. Masked out of the slope, they
-        # leave every Newton step as it was; unmasked, 0 * inf is nan and the
-        # rows fall back to geometric midpoints, ~20x the walks.
+        # only the padding's exponents overflow. Masked out, they leave the
+        # estimate and the Newton step as they were; unmasked, 0 * inf is nan
+        # in the estimate, every row starts from the threshold, and the step
+        # from there leaves the last fit ~6x the walks.
         rng = np.random.default_rng(33)
         gains = np.sort(10 ** rng.uniform(3, 6, (12, 2)), axis=1)[:, ::-1].copy()
         noise = 10 ** rng.uniform(-298, -295, (12, 2))

@@ -220,6 +220,29 @@ class TestExperiments:
                 sweep(model, [target_db], [2], 3, 0)
             assert str(batched.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("dbm", [4000.0, -4000.0])
+    @pytest.mark.parametrize("field", ["su_noise_dbm", "pu_interference_limit_dbm", "p_max_dbm"])
+    def test_power_level_beyond_the_float_range_raises_the_scalar_error(self, field, dbm):
+        # Its watts overflow to inf or underflow to 0; both paths refuse it
+        # with Scenario's error, which names the field, and no numpy warning.
+        model = small_model(n=2, m=1, **{field: dbm})
+        with pytest.raises(ValueError, match=field.removesuffix("_dbm")) as scalar:
+            scalar_chain("fig3", model, [5.0], [2], 3, 0)
+        for sweep in SWEEPS.values():
+            with pytest.raises(ValueError) as batched:
+                sweep(model, [5.0], [2], 3, 0)
+            assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_worker_count_below_one_is_refused(self, n_jobs, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        for sweep in SWEEPS.values():
+            with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+                sweep(small_model(), [10.0, 20.0], [3, 4], 2, 1, n_jobs=n_jobs)
+
     def test_worker_count_is_keyword_only(self):
         # A sixth positional argument, such as a stale tolerance, is refused
         # rather than taken for a worker count.
