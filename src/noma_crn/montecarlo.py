@@ -20,8 +20,12 @@ as :func:`draw_scenario`, :func:`~noma_crn.model.power_budget` and
 :func:`~noma_crn.admission.admit` on one run. Phase 2 solves the admitting
 rows together too, as one block as wide as the largest admitted count, each
 row's users right-aligned after zero-cost padding and equal to
-:func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit, and the
-SINR means are summed run by run. Results are therefore reproducible
+:func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit; on the
+paper's grid that block takes one walk of the equality recursion. The SINRs
+are checked and converted to dB once per block, and the SINR means are
+summed run by run. A grid point's constants (noise, PU limits, p_max and
+thresholds) are computed once and cached, and with no PUs there is no PU
+gain to draw a budget from or to audit. Results are therefore reproducible
 and do not depend on the block size, execution order or worker count.
 
 The experiment drivers sweep a common targeted SINR over a grid of requesting
@@ -31,6 +35,7 @@ produce a single per-user snapshot for heterogeneous targets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
@@ -186,11 +191,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+@functools.lru_cache(maxsize=64)  # one entry per hash step a prefix reaches: a handful
 def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
     """The hash constant before each of ``count`` hash steps from step ``first``
-    on, and after the last one."""
-    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF
-                     for i in range(first, first + count + 1)], dtype=np.uint32)
+    on, and after the last one, read-only (it is cached)."""
+    consts = np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF
+                       for i in range(first, first + count + 1)], dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
 #: generate_state(4, np.uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3.
@@ -205,9 +213,10 @@ def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 def _mix_word(pool: np.ndarray, words: np.ndarray, step: int) -> np.ndarray:
     """Each row's pool after SeedSequence mixes in that row's entropy word, the
-    hash constant at ``step`` (rows of a uint32 (R, 4) pool, words (R,))."""
+    hash constant at ``step`` (a uint32 pool of four, or rows of them, which
+    broadcasts against words (R,)); returns an (R, 4) array."""
     mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(
-        words[:, None], _hash_consts(_INIT_A, _MULT_A, step, pool.shape[1]))
+        words[:, None], _hash_consts(_INIT_A, _MULT_A, step, 4))
     return mixed ^ (mixed >> 16)
 
 
@@ -225,14 +234,14 @@ def _run_seed_words(prefix: np.random.SeedSequence, runs) -> np.ndarray:
     """
     runs = np.asarray(runs, dtype=np.uint64)
     step = 4 * sum(max(1, -(-int(v).bit_length() // 32)) for v in prefix.entropy)
-    pool = _mix_word(np.broadcast_to(prefix.pool, (len(runs), 4)),
-                     (runs & 0xFFFFFFFF).astype(np.uint32), step)
-    high = (runs >> 32).astype(np.uint32)
+    # The cast to uint32 keeps each index's low word.
+    pool = _mix_word(prefix.pool, runs.astype(np.uint32), step)
+    high = runs >> 32
     two = np.flatnonzero(high)
     if two.size:
-        pool[two] = _mix_word(pool[two], high[two], step + 4)
-    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        pool[two] = _mix_word(pool[two], high[two].astype(np.uint32), step + 4)
+    state = _hashmix(np.concatenate([pool, pool], axis=1), _STATE_CONSTS)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords(ISeedSequence):
@@ -267,6 +276,27 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
         )
 
 
+@functools.lru_cache(maxsize=128)
+def _point_constants(model: ChannelModel, threshold_db: float):
+    """A grid point's per-user noise, PU limits, p_max and thresholds, and
+    whether they pass Scenario's checks; the arrays are read-only.
+
+    Cached per (model, target): every chunk of a grid point, and every call
+    the sweeps make at that point, shares them. At most 128 points are kept,
+    each a few arrays as long as the model's user counts.
+    """
+    n, m = model.num_sus, model.num_pus
+    with np.errstate(all="ignore"):  # values that fail the checks are refused by the caller
+        noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
+        limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
+        p_max = float(dbm_to_watts(model.p_max_dbm))
+        thresholds = np.full(n, db_to_linear(threshold_db))
+    for arr in (noise, limits, thresholds):
+        arr.flags.writeable = False
+    ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
+    return noise, limits, p_max, thresholds, ok
+
+
 def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: float,
                   with_phase2: bool):
     """Draw, check, budget, admit, solve and audit one chunk of runs as (runs, N) rows.
@@ -276,32 +306,36 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     runs once for the chunk, in the operation order of the one-run functions
     (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
-    row), so every row's numbers equal that chain's bit for bit. Phase 2 runs
+    row), so every row's numbers equal that chain's bit for bit. With no PUs
+    every budget is p_max and there is nothing to audit. Phase 2 runs
     once for the chunk, on its admitting rows padded to the largest admitted
-    count; only the SINR conversion and means run per count. A run that
-    fails a check, or whose phase-2 SINR leaves the float range, raises the
-    chain's error once the runs before it are done.
+    count, and so do the SINRs' check and conversion to dB; only the means
+    run per count. A run that fails a check, or whose phase-2 SINR leaves the
+    float range, raises the chain's error once the runs before it are done.
     Returns the admitted-user count summed over runs, the audit violations,
     and per run that admitted anyone its min and mean achieved SINR in dB.
     """
-    n, m = model.num_sus, model.num_pus
+    m = model.num_pus
     runs = len(seed_words)
+    noise, limits, p_max, thresholds, shared_ok = _point_constants(model, threshold_db)
     su_u, su_shadow, pu_u, pu_shadow = _draw_rows(
         model, (Generator(PCG64(_SeedWords(words))) for words in seed_words), runs)
-    gains = channel_gain(model, _disk_radii(model, su_u), su_shadow)
-    gains = np.take_along_axis(gains, np.argsort(-gains, axis=1, kind="stable"), axis=1)
-    pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
-    with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
-        noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
-        limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
-        p_max = float(dbm_to_watts(model.p_max_dbm))
-        thresholds = np.full(n, db_to_linear(threshold_db))
-        budgets = _budgets(pu_gains, limits, p_max)
-    shared_ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
-    ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
+    # Sorted by value: tied gains are the same value, so their order is moot.
+    gains = -np.sort(-channel_gain(model, _disk_radii(model, su_u), su_shadow), axis=1)
+    if m:
+        pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
+        with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+            budgets = _budgets(pu_gains, limits, p_max)
+        ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
+    else:  # every budget is p_max, which shared_ok checks
+        pu_gains = np.empty((runs, 0))
+        budgets = np.full(runs, p_max)
+        ok = _positive_rows(gains) & shared_ok
     good = runs if ok.all() else int(np.argmin(ok))
-    refused = (gains[good], pu_gains[good]) if good < runs else None
-    gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
+    refused = None
+    if good < runs:
+        refused = (gains[good], pu_gains[good])
+        gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
 
     powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
     sinr_db = []
@@ -317,26 +351,31 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
         block_gains = np.zeros(prefix.shape)
         block_gains[aligned] = gains[rows[r], c]
         _, block = _waterfill_rows(thresholds[0], block_gains, noise[:width], budgets[rows])
-        powers[rows[r], c] = block[aligned]
-        # A padded user's SINR is 0; each count's users are converted and
-        # averaged alone, in the one-run chain's summation order.
+        if m:
+            powers[rows[r], c] = block[aligned]
         with np.errstate(over="ignore"):  # an inf SINR is refused in linear_to_db
             sinr = _sinr(block, block_gains, noise[:width])
-        min_db, mean_db = np.empty(len(rows)), np.empty(len(rows))
+        # One check and one log over the block: a padded user's SINR counts
+        # as 1 there, 0 dB, and as +inf in the min. Each count's users are
+        # summed alone, in the one-run chain's summation order; the sum over
+        # the count is what mean computes.
+        achieved_db = linear_to_db(np.where(aligned, sinr, 1.0))
+        min_db = np.where(aligned, achieved_db, math.inf).min(axis=1)
+        mean_db = np.empty(len(rows))
         for size in sorted(set(k.tolist())):
             group = np.flatnonzero(k == size)
-            achieved_db = linear_to_db(sinr[group, width - size:])
-            min_db[group] = achieved_db.min(axis=1)
-            mean_db[group] = achieved_db.mean(axis=1)
+            mean_db[group] = achieved_db[group, width - size:].sum(axis=1) / size
         sinr_db = list(zip(min_db.tolist(), mean_db.tolist()))
-    injected = powers.sum(axis=1)[:, None] * pu_gains
-    violations = np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1)
+    violations = 0
+    if m:
+        injected = powers.sum(axis=1)[:, None] * pu_gains
+        violations = np.count_nonzero(np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1))
 
     if refused is not None:  # the error the one-run chain raises at this run
         _check_budget(power_budget(Scenario(refused[0], noise, thresholds, refused[1],
                                             limits, p_max)))
         raise AssertionError("a run the batched checks refused passed the one-run checks")
-    return int(counts.sum()), int(np.count_nonzero(violations)), sinr_db
+    return int(counts.sum()), int(violations), sinr_db
 
 
 def _grid_point_stats(args) -> ExperimentStats:

@@ -542,13 +542,16 @@ def _count_row_walks(monkeypatch) -> list:
 
 
 #: Row-wise walks per _waterfill_rows block, from the search's structure:
-#: - one walk at the estimate, the closed-form root, a few floats from theta*;
-#:   it closes one end of each row's bracket there;
-#: - none for the Newton step: it takes that walk's total and slope, and from
-#:   a few floats away it lands within float resolution of theta*;
-#: - two last-fit probes: the step's theta, kept one float inside the
-#:   bracket, and the float next to it across theta*;
-#: - the walk for the powers at theta*.
+#: - one walk over a window of floats around the estimate, the closed-form
+#:   root; where it holds theta* and the float above, it gives the powers too,
+#:   and the block takes this one walk (every fig3-grid block does);
+#: - none for a Newton step: it takes that walk's total and slope at the
+#:   estimate, and from a few floats away it lands within a float or two of
+#:   theta*, where a second window walk probes;
+#: - two last-fit probes for a row that window still misses: the step's
+#:   theta, kept one float inside the bracket, and the float next to it
+#:   across theta*;
+#: - then the walk for the powers at theta*.
 WALKS_PER_BLOCK = 5
 
 
@@ -566,27 +569,80 @@ def _overflowing_blocks():
     yield 1e150, gains, 10 ** rng.uniform(-298, -295, (12, 2)), 10 ** rng.uniform(295, 307, 12)
 
 
+def _extreme_blocks():
+    """Blocks with thresholds from 1e-30 to 1e200, a common noise from 1e-300
+    to 1e10 and budgets up to 1e300 times what the threshold costs, the finite
+    ones kept, as (threshold, gains, noise, budgets): 814 rows."""
+    rng = np.random.default_rng(36)
+    for k in list(range(1, 61)) * 5:
+        threshold = 10 ** rng.uniform(-30.0, 200.0)
+        gains = np.sort(10 ** rng.uniform(-8, -3, (12, k)), axis=1)[:, ::-1].copy()
+        noise = np.full(k, 10 ** rng.uniform(-300.0, 10.0))
+        with np.errstate(over="ignore"):
+            budgets = (_equality_rows(threshold, noise / gains)[2]
+                       * 10 ** rng.uniform(0.0, 300.0, 12))
+        keep = np.isfinite(budgets)
+        if keep.any():
+            yield threshold, gains[keep], noise, budgets[keep]
+
+
+def _walk_count_blocks():
+    """test_random_blocks' blocks with zero-slack rows too, as (threshold,
+    gains, noise, budgets)."""
+    rng = np.random.default_rng(31)
+    for k in range(1, 31):
+        threshold = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0, 30.0]) / 10)
+        gains, noise, required = _common_threshold_block(rng, 24, k, threshold)
+        budgets = required * 10 ** rng.uniform(0.0, 3.0, 24)
+        budgets[::6] = required[::6] * (1.0 + 1e-12)
+        budgets[3::6] = required[3::6]
+        yield threshold, gains, noise, budgets
+
+
+def _displaced_estimate(floats):
+    """A stand-in for _estimate_rows that lands ``floats`` floats off its
+    result, or at the bracket's bottom for None."""
+    estimate_rows = maxmin._estimate_rows
+
+    def displaced(over_gain, exponents, budgets, lo, hi):
+        if floats is None:
+            return lo
+        theta = estimate_rows(over_gain, exponents, budgets, lo, hi)
+        return (theta.view(np.int64) + floats).view(np.float64)
+
+    return displaced
+
+
 class TestWaterfillRows:
     """The sweeps' phase 2 solves a block of rows whose users share one
     threshold at once; every row must equal solve_waterfill bit for bit."""
 
-    def test_walks_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("floats", [0, -8, 8])
+    def test_walks_per_block(self, floats, monkeypatch):
         # The blocks of test_random_blocks: k = 1 to 30 users, budgets from
         # x(1 + 1e-12) to x1e3, here with zero-slack rows too. A search from
-        # the threshold took 8.4 walks a block there, up to 11. Every row
-        # spends its budget to the fold's rounding bound.
+        # the threshold took 8.4 walks a block there, up to 11. The estimate
+        # as it is, or 8 floats off, outside the window, where a Newton step
+        # and the second window walk take over. Every row equals
+        # solve_waterfill bit for bit and spends its budget to the fold's
+        # rounding bound.
+        monkeypatch.setattr(maxmin, "_estimate_rows", _displaced_estimate(floats))
         walks = _count_row_walks(monkeypatch)
-        rng = np.random.default_rng(31)
-        for k in range(1, 31):
-            threshold = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0, 30.0]) / 10)
-            gains, noise, required = _common_threshold_block(rng, 24, k, threshold)
-            budgets = required * 10 ** rng.uniform(0.0, 3.0, 24)
-            budgets[::6] = required[::6] * (1.0 + 1e-12)
-            budgets[3::6] = required[3::6]
+        for threshold, gains, noise, budgets in _walk_count_blocks():
             walks.clear()
             _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
             assert len(walks) <= WALKS_PER_BLOCK
             _assert_rows_spend_budgets(gains, powers, budgets)
+            _rows_equal_scalar(threshold, gains, noise, budgets)
+
+    def test_search_from_the_threshold(self, monkeypatch):
+        # The same blocks with every estimate at the bracket's bottom, the
+        # threshold: one Newton step from there is far from theta*, and the
+        # last fit, from wherever the second one ends, still gives every row
+        # solve_waterfill's answer bit for bit.
+        monkeypatch.setattr(maxmin, "_estimate_rows", _displaced_estimate(None))
+        for threshold, gains, noise, budgets in _walk_count_blocks():
+            _rows_equal_scalar(threshold, gains, noise, budgets)
 
     def test_estimate_never_costs_walks(self, monkeypatch):
         # Where S(theta) overflows at the top of the bracket or theta* is
@@ -640,19 +696,8 @@ class TestWaterfillRows:
             return estimates[-1]
 
         monkeypatch.setattr(maxmin, "_estimate_rows", recording)
-        rng = np.random.default_rng(36)
         rows = far = 0
-        for k in list(range(1, 61)) * 5:
-            threshold = 10 ** rng.uniform(-30.0, 200.0)
-            gains = np.sort(10 ** rng.uniform(-8, -3, (12, k)), axis=1)[:, ::-1].copy()
-            noise = np.full(k, 10 ** rng.uniform(-300.0, 10.0))
-            with np.errstate(over="ignore"):
-                budgets = (_equality_rows(threshold, noise / gains)[2]
-                           * 10 ** rng.uniform(0.0, 300.0, 12))
-            keep = np.isfinite(budgets)
-            if not keep.any():
-                continue
-            gains, budgets = gains[keep], budgets[keep]
+        for threshold, gains, noise, budgets in _extreme_blocks():
             estimates.clear()
             theta = _rows_equal_scalar(threshold, gains, noise, budgets)
             _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
@@ -661,6 +706,27 @@ class TestWaterfillRows:
             far += np.count_nonzero(np.abs(theta.view(np.int64) - estimates[0].view(np.int64))
                                     > 2 ** 20)
         assert rows > 500 and far > 50
+
+    def test_numpy_budgets_solve_in_float_arithmetic(self):
+        # The extreme-input rows solved one at a time with the np.float64
+        # budget the block holds: a probe whose S(theta) overflows does so
+        # in float arithmetic, with no numpy warning (an error here), and the
+        # bits are those of a float budget. Water-filling warned on 111 of
+        # these rows when it probed in numpy scalars, the first at k = 2,
+        # threshold 5.7e61, budget 4.5e242. Bisection runs ~1,000 halvings on
+        # these brackets, so it solves the rows of up to three users only.
+        solved = 0
+        for threshold, gains, noise, budgets in _extreme_blocks():
+            k = gains.shape[1]
+            solvers = (solve_waterfill, solve_bisection) if k <= 3 else (solve_waterfill,)
+            for row_gains, budget in zip(gains, budgets):
+                scenario = Scenario(row_gains, noise, np.full(k, threshold), [], [], 1.0)
+                for solve in solvers:
+                    got, want = solve(scenario, budget), solve(scenario, float(budget))
+                    assert got.theta_star == want.theta_star
+                    assert got.powers.tolist() == want.powers.tolist()
+                    solved += 1
+        assert solved > 814
 
     @pytest.mark.parametrize("slack", [0.0, 1e-12])
     def test_near_zero_slack(self, slack):
