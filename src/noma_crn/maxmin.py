@@ -32,10 +32,8 @@ Sets of fewer than K users are padded with users of zero cost, which leave
 the walk's bits alone, so one search serves a block of every admitted count.
 With one threshold, S(theta) past it is a polynomial in closed form; a few
 Newton steps on it, array arithmetic with no walk, land within a few floats of
-theta*. One walk probes a window of six floats there, which on the sweeps'
-grid holds every row's theta* and the float above it, so a block takes one
-walk, the powers' included. A row outside the window takes one Newton step
-from that walk, a second window walk and, if need be, the last-fit search.
+theta*. One walk there, one Newton step from that walk and the last-fit search
+finish, with no loop of their own, and a block takes about four walks.
 Because theta* is the largest fitting float, not wherever a search stopped,
 each row's answer equals :func:`solve_waterfill`'s bit for bit.
 """
@@ -132,7 +130,6 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
         raise ValueError("phase 2 is undefined for an empty admitted set")
     _check_budget(budget)
     _check_epsilon(epsilon)
-    budget = float(budget)
     thresholds = scenario.su_thresholds.tolist()
     over_gain = scenario.noise_over_gain.tolist()
     walk = _equality_walk(thresholds, over_gain)
@@ -142,7 +139,7 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    return thresholds, over_gain, budget, walk
+    return thresholds, over_gain, float(budget), walk
 
 
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
@@ -413,91 +410,61 @@ def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
     its users bit for bit. With one threshold t the only segment is [t, the
     scalar solver's bracket top), where every user sits at theta, so S(theta)
     is a polynomial in closed form. Its root, found without a walk
-    (:func:`_estimate_rows`), is a float or two from theta*; one walk of the
-    block probes a window of floats around it (:func:`_newton_rows`) and ends
+    (:func:`_estimate_rows`), is walked once; one Newton step from that walk
+    (:func:`_newton_rows`) and the last-fit search then run on all rows at
+    once, every probe one :func:`_equality_rows` walk of the block, and end
     on the same canonical theta_star, the largest float with
-    S(theta) <= budget, with the powers from that same walk: a fig3-grid
-    block takes one walk. If the window misses a row, a Newton step and a
-    second window walk follow, and then, if need be, the last-fit search and
-    one walk more for the powers, all rows at once, every probe one
-    :func:`_equality_rows` walk of the block. A padded user costs N/G = 0,
-    so it walks to power 0.0 and leaves the total at 0.0: each row's walk is
-    its dense walk bit for bit, total included, and one search and one
-    budget fold serve rows of every count, one user included.
+    S(theta) <= budget, in about four walks a block, the powers' included.
+    A padded user costs N/G = 0, so it walks to power 0.0 and leaves the
+    total at 0.0: each row's walk is its dense walk bit for bit, total
+    included, and one search and one budget fold serve rows of every count,
+    one user included.
     """
+    noise = np.broadcast_to(noise, gains.shape)
     counts = np.count_nonzero(gains, axis=1)
     lo = np.full(len(budgets), threshold)
     with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
         over_gain = np.where(gains > 0.0, noise / gains, 0.0)
         hi = np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo) * _BRACKET_TOP
-        theta, powers, total = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
+        lo, hi, theta = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
+        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta)
+    powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
     # The budget closes on the weakest user against the walk's total, as in _assemble.
     last = powers[:, -1] + (budgets - total)
     powers[:, -1] = np.where(last < 0.0, 0.0, last)
     return theta, powers
 
 
-#: The floats around theta that each probing walk of :func:`_newton_rows`
-#: covers. theta* - estimate was -2 to +2 on 30,000 fig3-grid rows; the window
-#: reaches one float further up, to the miss above a theta* two floats up.
-_WINDOW = np.arange(-2, 4)
-
-
 def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
-    """:func:`_newton_root` on every row, on one segment where every user is floored.
+    """:func:`_newton_root`'s first step on every row, on one segment where every user is floored.
 
     Row r's ``counts[r]`` users sit in its last columns, after padding that
-    costs nothing. Starting at :func:`_estimate_rows`, the root of S(theta)'s
-    closed form, one walk probes the floats ``_WINDOW`` around each row's
-    theta, clipped into its bracket, and narrows the bracket to them. S is
-    monotone in floating point, so where a row's largest fitting probe and
-    its smallest missing probe are adjacent floats, the fitting one is
-    theta*, and its powers and total are that walk's; once every row is
-    settled so, the search is done. Otherwise one Newton step from the walk
-    at theta, with its total and slope (a row whose slope is not finite and
-    positive keeps its theta), lands within a float or two of theta*, and
-    one more window walk probes there. Rows still unsettled after that
-    finish in :func:`_last_fit_rows` from the last step, inside the narrowed
-    brackets (a settled row's is two adjacent floats, which it keeps), and
-    one walk more gives the powers. Returns theta_star, the powers and each
-    row's total at it.
+    costs nothing. One walk at :func:`_estimate_rows`, the root of S(theta)'s
+    closed form, narrows each row's bracket, and one Newton step from that
+    walk's total and slope takes an estimate a few floats off to within a
+    float or two of theta*; a row whose slope is not finite and positive
+    keeps the estimate. Returns the narrowed brackets and each row's theta,
+    one float inside its bracket (an end is a float already probed), for
+    :func:`_last_fit_rows`, which finishes from any start inside the bracket.
     """
-    rows, users = over_gain.shape
+    users = over_gain.shape[1]
     # Later users per user; 0 for padding, whose (1 + theta)**e could
     # overflow alone and turn its 0 power into nan.
     exponents = np.arange(users - 1, -1, -1.0)
     exponents = np.where(exponents < counts[:, None], exponents, 0.0)
     theta = _estimate_rows(over_gain, exponents, budgets, lo, hi)
-    row, width = np.arange(rows), len(_WINDOW)
-    # The bracket as bit patterns: fit fits and miss does not, so a probe
-    # clipped to an end repeats a known float and never leaves the positive ones.
-    fit, miss = lo.view(np.int64), hi.view(np.int64)
-    costs = np.repeat(over_gain, width, axis=0)
-    half_ulp = 0.5 * np.spacing(budgets)
-    for _ in range(2):  # at the estimate, then after one Newton step
-        probes = np.clip(theta.view(np.int64)[:, None] + _WINDOW, fit[:, None], miss[:, None])
-        powers, _, total = _equality_rows(threshold, costs, floor=probes.view(np.float64).ravel())
-        powers, total = powers.reshape(rows, width, users), total.reshape(rows, width)
-        # Each row's fitting probes come first; fits[r] of them.
-        fits = np.count_nonzero(total <= budgets[:, None], axis=1)
-        best = np.maximum(fits - 1, 0)
-        fit = np.where(fits > 0, probes[row, best], fit)
-        miss = np.where(fits < width, probes[row, np.minimum(fits, width - 1)], miss)
-        if ((fits > 0) & (miss - fit == 1)).all():
-            return fit.view(np.float64), powers[row, best], total[row, best]
-        powers, total = powers[:, -_WINDOW[0]], total[:, -_WINDOW[0]]  # the walk at theta
-        # theta * S'(theta): user n's power times (1 + theta) per later user.
-        slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)
-        step = theta * np.minimum(np.expm1((np.log(budgets / total) + half_ulp / budgets)
-                                           * (total / slope)),
-                                  (budgets - total + half_ulp) / slope)
-        theta = np.where((0.0 < slope) & (slope < math.inf), theta + step, theta)
-        # One float inside the bracket: an end is a float already probed.
-        lo, hi = fit.view(np.float64), miss.view(np.float64)
-        theta = np.clip(theta, np.nextafter(lo, hi), np.nextafter(hi, lo))
-    theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta)
     powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
-    return theta, powers, total
+    fit = total <= budgets
+    lo = np.where(fit, theta, lo)
+    hi = np.where(fit, hi, theta)
+    half_ulp = 0.5 * np.spacing(budgets)
+    # theta * S'(theta): user n's power times (1 + theta) per later user.
+    slope = (powers * (1.0 + theta)[:, None] ** exponents).sum(axis=1)
+    step = theta * np.minimum(np.expm1((np.log(budgets / total) + half_ulp / budgets)
+                                       * (total / slope)),
+                              (budgets - total + half_ulp) / slope)
+    theta = np.where((0.0 < slope) & (slope < math.inf), theta + step, theta)
+    return lo, hi, np.clip(theta, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
 
 def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:

@@ -20,13 +20,13 @@ as :func:`draw_scenario`, :func:`~noma_crn.model.power_budget` and
 :func:`~noma_crn.admission.admit` on one run. Phase 2 solves the admitting
 rows together too, as one block as wide as the largest admitted count, each
 row's users right-aligned after zero-cost padding and equal to
-:func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit; on the
-paper's grid that block takes one walk of the equality recursion. The SINRs
+:func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit. The SINRs
 are checked and converted to dB once per block, and the SINR means are
 summed run by run. A grid point's constants (noise, PU limits, p_max and
-thresholds) are computed once and cached, and with no PUs there is no PU
-gain to draw a budget from or to audit. Results are therefore reproducible
-and do not depend on the block size, execution order or worker count.
+thresholds) are computed once for all its chunks, and with no PUs there is
+no PU gain to draw a budget from or to audit. Results are therefore
+reproducible and do not depend on the block size, execution order or worker
+count.
 
 The experiment drivers sweep a common targeted SINR over a grid of requesting
 user counts (admission statistics, and optionally the phase-2 SINR uplift) or
@@ -276,33 +276,25 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
         )
 
 
-@functools.lru_cache(maxsize=128)
 def _point_constants(model: ChannelModel, threshold_db: float):
     """A grid point's per-user noise, PU limits, p_max and thresholds, and
-    whether they pass Scenario's checks; the arrays are read-only.
-
-    Cached per (model, target): every chunk of a grid point, and every call
-    the sweeps make at that point, shares them. At most 128 points are kept,
-    each a few arrays as long as the model's user counts.
-    """
+    whether they pass Scenario's checks; every chunk of the point shares them."""
     n, m = model.num_sus, model.num_pus
     with np.errstate(all="ignore"):  # values that fail the checks are refused by the caller
         noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
         limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
         p_max = float(dbm_to_watts(model.p_max_dbm))
         thresholds = np.full(n, db_to_linear(threshold_db))
-    for arr in (noise, limits, thresholds):
-        arr.flags.writeable = False
     ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
     return noise, limits, p_max, thresholds, ok
 
 
-def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: float,
-                  with_phase2: bool):
+def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, constants, with_phase2: bool):
     """Draw, check, budget, admit, solve and audit one chunk of runs as (runs, N) rows.
 
     Row r draws from its own PCG64 stream, seeded with ``seed_words[r]`` (see
-    ``_run_seed_words``), into its row; everything after the draw
+    ``_run_seed_words``), into its row, and ``constants`` are the grid
+    point's, from ``_point_constants``; everything after the draw
     runs once for the chunk, in the operation order of the one-run functions
     (``draw_scenario``, ``Scenario`` checks, ``power_budget``, ``admit``,
     ``solve_waterfill`` on the admitted prefix, the audit on the padded power
@@ -317,7 +309,7 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, threshold_db: flo
     """
     m = model.num_pus
     runs = len(seed_words)
-    noise, limits, p_max, thresholds, shared_ok = _point_constants(model, threshold_db)
+    noise, limits, p_max, thresholds, shared_ok = constants
     su_u, su_shadow, pu_u, pu_shadow = _draw_rows(
         model, (Generator(PCG64(_SeedWords(words))) for words in seed_words), runs)
     # Sorted by value: tied gains are the same value, so their order is moot.
@@ -389,10 +381,11 @@ def _grid_point_stats(args) -> ExperimentStats:
     all_db_sum = 0.0
     admitted_runs = 0
     prefix = run_seed(master_seed, experiment, target_index, n_index)
+    constants = _point_constants(point_model, target_db)
     for start in range(0, runs, _CHUNK_RUNS):
         run_indices = np.arange(start, min(start + _CHUNK_RUNS, runs), dtype=np.uint64)
         seed_words = _run_seed_words(prefix, run_indices)
-        admitted, violated, sinr_db = _runs_as_rows(point_model, seed_words, target_db,
+        admitted, violated, sinr_db = _runs_as_rows(point_model, seed_words, constants,
                                                     with_phase2)
         admitted_total += admitted
         violations += violated

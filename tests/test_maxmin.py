@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -217,6 +218,12 @@ class TestSolversOnKnownInstances:
             solve_waterfill(two_equal_users, 2.9)
         with pytest.raises(InfeasibleError):
             solve_bisection(two_equal_users, 2.9)
+
+    def test_infeasible_message_names_the_callers_budget(self, two_equal_users):
+        budget = np.float64(2.9)
+        for solve in (solve_waterfill, solve_bisection):
+            with pytest.raises(InfeasibleError, match=re.escape(f"budget {budget!r} W")):
+                solve(two_equal_users, budget)
 
     def test_bad_epsilon_rejected(self, two_equal_users):
         with pytest.raises(ValueError):
@@ -542,16 +549,13 @@ def _count_row_walks(monkeypatch) -> list:
 
 
 #: Row-wise walks per _waterfill_rows block, from the search's structure:
-#: - one walk over a window of floats around the estimate, the closed-form
-#:   root; where it holds theta* and the float above, it gives the powers too,
-#:   and the block takes this one walk (every fig3-grid block does);
-#: - none for a Newton step: it takes that walk's total and slope at the
-#:   estimate, and from a few floats away it lands within a float or two of
-#:   theta*, where a second window walk probes;
-#: - two last-fit probes for a row that window still misses: the step's
-#:   theta, kept one float inside the bracket, and the float next to it
-#:   across theta*;
-#: - then the walk for the powers at theta*.
+#: - one walk at the estimate, the closed-form root, a few floats from theta*;
+#:   it closes one end of each row's bracket there;
+#: - none for the Newton step: it takes that walk's total and slope, and from
+#:   a few floats away it lands within float resolution of theta*;
+#: - two last-fit probes: the step's theta, kept one float inside the
+#:   bracket, and the float next to it across theta*;
+#: - the walk for the powers at theta*.
 WALKS_PER_BLOCK = 5
 
 
@@ -599,34 +603,16 @@ def _walk_count_blocks():
         yield threshold, gains, noise, budgets
 
 
-def _displaced_estimate(floats):
-    """A stand-in for _estimate_rows that lands ``floats`` floats off its
-    result, or at the bracket's bottom for None."""
-    estimate_rows = maxmin._estimate_rows
-
-    def displaced(over_gain, exponents, budgets, lo, hi):
-        if floats is None:
-            return lo
-        theta = estimate_rows(over_gain, exponents, budgets, lo, hi)
-        return (theta.view(np.int64) + floats).view(np.float64)
-
-    return displaced
-
-
 class TestWaterfillRows:
     """The sweeps' phase 2 solves a block of rows whose users share one
     threshold at once; every row must equal solve_waterfill bit for bit."""
 
-    @pytest.mark.parametrize("floats", [0, -8, 8])
-    def test_walks_per_block(self, floats, monkeypatch):
+    def test_walks_per_block(self, monkeypatch):
         # The blocks of test_random_blocks: k = 1 to 30 users, budgets from
         # x(1 + 1e-12) to x1e3, here with zero-slack rows too. A search from
-        # the threshold took 8.4 walks a block there, up to 11. The estimate
-        # as it is, or 8 floats off, outside the window, where a Newton step
-        # and the second window walk take over. Every row equals
-        # solve_waterfill bit for bit and spends its budget to the fold's
-        # rounding bound.
-        monkeypatch.setattr(maxmin, "_estimate_rows", _displaced_estimate(floats))
+        # the threshold took 8.4 walks a block there, up to 11. Every row
+        # equals solve_waterfill bit for bit and spends its budget to the
+        # fold's rounding bound.
         walks = _count_row_walks(monkeypatch)
         for threshold, gains, noise, budgets in _walk_count_blocks():
             walks.clear()
@@ -638,9 +624,10 @@ class TestWaterfillRows:
     def test_search_from_the_threshold(self, monkeypatch):
         # The same blocks with every estimate at the bracket's bottom, the
         # threshold: one Newton step from there is far from theta*, and the
-        # last fit, from wherever the second one ends, still gives every row
+        # last fit, from wherever it ends, still gives every row
         # solve_waterfill's answer bit for bit.
-        monkeypatch.setattr(maxmin, "_estimate_rows", _displaced_estimate(None))
+        monkeypatch.setattr(maxmin, "_estimate_rows",
+                            lambda over_gain, exponents, budgets, lo, hi: lo)
         for threshold, gains, noise, budgets in _walk_count_blocks():
             _rows_equal_scalar(threshold, gains, noise, budgets)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -401,46 +402,29 @@ class TestRunBatchedKernel:
         assert 0 < len(built) <= 2 * 2 * 2
 
     def test_one_phase2_search_per_chunk(self, monkeypatch):
-        # Each chunk's rows admit several counts >= 2; one padded block
-        # serves them all, so the row kernel runs once per chunk.
-        blocks = []
-        waterfill_rows = montecarlo._waterfill_rows
+        # The chunk's rows admit several counts >= 2; one padded block
+        # serves them all, so the Newton and last-fit searches run once.
+        # The counts are bound by name, so no other argument can stand in.
+        searched = []
+        newton_rows, last_fit_rows = maxmin._newton_rows, maxmin._last_fit_rows
+        signature = inspect.signature(newton_rows)
 
-        def recording(threshold, gains, noise, budgets):
-            blocks.append(sorted(set(np.count_nonzero(gains, axis=1).tolist())))
-            return waterfill_rows(threshold, gains, noise, budgets)
+        def newton(*args, **kwargs):
+            counts = signature.bind(*args, **kwargs).arguments["counts"]
+            searched.append(("newton", sorted(set(counts.tolist()))))
+            return newton_rows(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_waterfill_rows", recording)
-        runs = montecarlo._CHUNK_RUNS + 200  # two chunks
-        stats = run_fig3(small_model(m=0), [15.0], [10], runs=runs, master_seed=3)
-        assert stats == scalar_chain("fig3", small_model(m=0), [15.0], [10], runs, 3)
-        assert len(blocks) == 2
-        for counts in blocks:
-            assert len(counts) >= 3 and min(counts) >= 2
+        def last_fit(*args):
+            searched.append(("last_fit", None))
+            return last_fit_rows(*args)
 
-    def test_fig3_grid_blocks_settle_in_one_walk(self, monkeypatch):
-        # On the paper's grid (targets 5-25 dB, N 5/10/15, no PUs), theta* is
-        # within two floats of the closed-form estimate on every row, so the
-        # one window walk gives every block its theta* and powers.
-        walks, blocks = [], []
-        equality_rows, waterfill_rows = maxmin._equality_rows, montecarlo._waterfill_rows
-
-        def walk(*args, **kwargs):
-            walks.append(1)
-            return equality_rows(*args, **kwargs)
-
-        def block(*args):
-            walks.clear()
-            out = waterfill_rows(*args)
-            blocks.append(len(walks))
-            return out
-
-        monkeypatch.setattr(maxmin, "_equality_rows", walk)
-        monkeypatch.setattr(montecarlo, "_waterfill_rows", block)
-        for seed in (0, 1):
-            run_fig3(small_model(m=0), [5.0, 10.0, 15.0, 20.0, 25.0], [5, 10, 15], runs=50,
-                     master_seed=seed)
-        assert blocks == [1] * 30
+        monkeypatch.setattr(maxmin, "_newton_rows", newton)
+        monkeypatch.setattr(maxmin, "_last_fit_rows", last_fit)
+        stats = run_fig3(small_model(m=0), [15.0], [10], runs=200, master_seed=3)
+        assert stats == scalar_chain("fig3", small_model(m=0), [15.0], [10], 200, 3)
+        (_, counts), last = searched
+        assert last == ("last_fit", None)
+        assert len(counts) >= 3 and min(counts) >= 2
 
     def test_solves_phase2_without_the_scalar_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -450,27 +434,6 @@ class TestRunBatchedKernel:
             monkeypatch.setattr(maxmin, name, refuse)
         stats = run_fig3(small_model(m=1), [5.0, 20.0], [1, 5, 10], runs=30, master_seed=3)
         assert all(s.runs_with_admission for s in stats)
-
-
-class TestPointConstants:
-    def test_cached_arrays_refuse_writes(self):
-        noise, limits, _, thresholds, _ = montecarlo._point_constants(small_model(m=2), 10.0)
-        consts = montecarlo._hash_consts(montecarlo._INIT_A, montecarlo._MULT_A, 16, 4)
-        for arr in (noise, limits, thresholds, consts):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-
-    def test_alternating_models_and_targets_equal_the_scalar_chain(self):
-        # Every (model, target) pair twice, interleaved, so each call but the
-        # first of a pair reads constants another pair's calls left cached.
-        models = [small_model(n=4, m=0), small_model(n=4, m=2),
-                  small_model(n=4, m=2, su_noise_dbm=-100.0, p_max_dbm=10.0)]
-        for _ in range(2):
-            for target in (3.0, 18.0):
-                for model in models:
-                    for experiment, sweep in SWEEPS.items():
-                        got = sweep(model, [target], [2, 4], runs=15, master_seed=6)
-                        assert got == scalar_chain(experiment, model, [target], [2, 4], 15, 6)
 
 
 class TestRunSeedWords:
@@ -486,6 +449,11 @@ class TestRunSeedWords:
                     for run in self.RUNS]
         assert got.dtype == np.uint64
         assert got.tolist() == np.array(expected).tolist()
+
+    def test_cached_hash_constants_refuse_writes(self):
+        consts = montecarlo._hash_consts(montecarlo._INIT_A, montecarlo._MULT_A, 16, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            consts[0] = 1
 
     def test_negative_master_seed_is_run_seeds_error(self):
         with pytest.raises(ValueError) as expected:
