@@ -15,7 +15,8 @@ Two independent solvers are provided and must agree:
 
 * :func:`solve_bisection` — bisection on the candidate minimum SINR ``t``,
   with each step reduced to that closed-form feasibility check; no convex
-  solver is needed.
+  solver is needed. One secant step through S at the ends of the final
+  bracket then places the common level where the budget is spent.
 * :func:`solve_waterfill` — floods the lowest SINRs upward. S(theta) is
   continuous, convex and strictly increasing beyond the smallest threshold,
   so one safeguarded Newton root on log S against log theta, whose slope
@@ -23,7 +24,8 @@ Two independent solvers are provided and must agree:
   threshold to the lone-user bound, threshold kinks included. It returns
   the largest float theta with S(theta) <= P_s, for every admitted count
   (one user included, with no closed form of its own), in under ten walks
-  on average where bisection takes ~75.
+  on average where bisection takes its ceil(log2((u - l)/epsilon)) halvings
+  plus four walks, ~46 on mixed-threshold sets of 5-30 users.
 
 The Monte-Carlo sweeps give every user one threshold and solve many admitted
 sets at once: :func:`_waterfill_rows` runs water-filling's root on every row
@@ -70,6 +72,8 @@ class MaxMinSolution:
     ``theta_star`` is the optimal minimum SINR (linear). ``iterations`` counts
     bisection steps for the bisection solver and flooded threshold levels for
     the water-filling solver: the distinct thresholds <= theta_star, less one.
+    ``evaluations`` counts the S(theta) walks the solve ran, the feasibility
+    check at the thresholds and the walk for the powers included.
     ``solver`` is ``"bisection"`` or ``"waterfill"``.
     """
 
@@ -77,6 +81,7 @@ class MaxMinSolution:
     powers: np.ndarray
     achieved_sinr: np.ndarray
     iterations: int
+    evaluations: int
     solver: str
 
 
@@ -167,28 +172,6 @@ def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
 _BRACKET_TOP = 1.0 + 2.0 ** -50
 
 
-def _level_root(thresholds: list[float], over_gain: list[float], budget: float,
-                lo: float, hi: float) -> float:
-    """Bisection's last step: solve S(theta) = budget on [lo, hi] by scalar bisection.
-
-    Requires S(lo) <= budget <= S(hi); returns the certified-feasible side of
-    an interval narrowed to float resolution, so S(root) <= budget with the
-    shortfall at summation-roundoff level. Only :func:`solve_bisection` uses
-    it; water-filling has its own root, so the two solvers cross-check.
-    """
-    for _ in range(200):
-        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
-        if not lo < mid < hi:
-            break
-        if _fits(thresholds, over_gain, budget, mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            break
-    return lo
-
-
 def _float_bits(x: float) -> int:
     # For non-negative floats the bit pattern orders like the value, and
     # consecutive integers are consecutive floats.
@@ -219,8 +202,8 @@ def _log_slope(thresholds: list[float], theta: float, powers: list[float]) -> fl
 
 
 def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
-                 lo: float, hi: float, walk: tuple[list[float], float]) -> float:
-    """Largest float theta in [lo, hi) with S(theta) <= budget.
+                 lo: float, hi: float, walk: tuple[list[float], float]) -> tuple[float, int]:
+    """Largest float theta in [lo, hi) with S(theta) <= budget, and the walks it took.
 
     ``walk`` is the unbudgeted walk at ``lo``, which fits; ``hi`` does not
     fit. With lambda_n = max(theta, threshold_n), S(theta) = sum_n lambda_n
@@ -238,6 +221,7 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
     powers, total = walk
     half_ulp = 0.5 * math.ulp(budget)
     stride = 1
+    walks = 0
     for _ in range(100):
         slope = _log_slope(thresholds, theta, powers)  # inf or nan if S overflowed
         if 0.0 < slope < math.inf:
@@ -262,16 +246,19 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
             if not lo < theta < hi:
                 break
         powers, total = _equality_walk(thresholds, over_gain, floor=theta)
+        walks += 1
         if total <= budget:
             lo = theta
         else:
             hi = theta
-    return _last_fit(thresholds, over_gain, budget, lo, hi, theta, stride)
+    theta, probes = _last_fit(thresholds, over_gain, budget, lo, hi, theta, stride)
+    return theta, walks + probes
 
 
 def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
-              lo: float, hi: float, theta: float, stride: int) -> float:
-    """Largest float in [lo, hi) that fits, given that lo fits and hi does not.
+              lo: float, hi: float, theta: float, stride: int) -> tuple[float, int]:
+    """Largest float in [lo, hi) that fits, given that lo fits and hi does not,
+    and the probes it took.
 
     Probes ``theta``, gallops from it toward the other end of the bracket in
     strides of ``stride``, 2 * ``stride``, 4 * ``stride``... floats, then
@@ -280,7 +267,9 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     """
     fit, miss = _float_bits(lo), _float_bits(hi)
     start = min(max(_float_bits(theta), fit), miss)
+    probes = 0
     if fit < start < miss:
+        probes += 1
         if _fits(thresholds, over_gain, budget, _bits_float(start)):
             fit = start
         else:
@@ -288,6 +277,7 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     upward = start == fit
     while miss - fit > stride:
         probe = fit + stride if upward else miss - stride
+        probes += 1
         if _fits(thresholds, over_gain, budget, _bits_float(probe)):
             fit = probe
             if not upward:
@@ -299,11 +289,12 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
         stride *= 2
     while miss - fit > 1:
         mid = (fit + miss) // 2
+        probes += 1
         if _fits(thresholds, over_gain, budget, _bits_float(mid)):
             fit = mid
         else:
             miss = mid
-    return _bits_float(fit)
+    return _bits_float(fit), probes
 
 
 #: The top half of the float range, where a SINR computed within rounding
@@ -313,8 +304,11 @@ _NEAR_FLOAT_MAX = sys.float_info.max / 2
 
 def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float],
               budget: float, theta_star: float, level: float, iterations: int,
-              solver: str) -> MaxMinSolution:
-    """Powers at targets max(level, thresholds), budget closed on the last user."""
+              evaluations: int, solver: str) -> MaxMinSolution:
+    """Powers at targets max(level, thresholds), budget closed on the last user.
+
+    ``evaluations`` counts the walks before this one, which adds its own.
+    """
     powers, total = _equality_walk(thresholds, over_gain, floor=level)
     # Fold the (roundoff-level) residual against the walk's own total into the
     # weakest user; only its own SINR moves, and only by ~1 ulp.
@@ -334,8 +328,27 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
         powers=powers,
         achieved_sinr=achieved_sinr,
         iterations=iterations,
+        evaluations=evaluations + 1,
         solver=solver,
     )
+
+
+def _secant_level(thresholds: list[float], over_gain: list[float], budget: float,
+                  lo: float, hi: float) -> float:
+    """Bisection's last step: the level where the secant through S at ``lo`` and
+    ``hi`` meets the budget, clipped to [lo, hi].
+
+    S is convex, so the secant lies above it on [lo, hi]: where the secant
+    meets the budget, S is at most the budget, up to rounding, and
+    :func:`_assemble` folds the rest into the last user. Unless S(lo) < budget < S(hi) < inf the step takes ``lo``. It runs two
+    walks of the shared recursion and borrows nothing from water-filling, so
+    the two solvers stay independent.
+    """
+    s_lo = _equality_walk(thresholds, over_gain, floor=lo, keep=False)[1]
+    s_hi = _equality_walk(thresholds, over_gain, floor=hi, keep=False)[1]
+    if not s_lo < budget < s_hi < math.inf:
+        return lo
+    return min(lo + (hi - lo) * ((budget - s_lo) / (s_hi - s_lo)), hi)
 
 
 def solve_bisection(scenario: Scenario, budget: float,
@@ -347,9 +360,12 @@ def solve_bisection(scenario: Scenario, budget: float,
     with the whole budget; the largest float if that overflows) and runs
     exactly ceil(log2((u - l)/epsilon)) halvings: feasible midpoints raise
     ``l``, infeasible ones lower ``u``.
-    ``theta_star`` is the certified feasible side ``l``; the leftover budget
-    (below what one epsilon of SINR would cost) is then spread with the
-    water-filling tie rule so the budget comes out fully spent.
+    ``theta_star`` is the certified feasible side ``l``. The powers sit at
+    the common level of one secant step through S(l) and S(u)
+    (:func:`_secant_level`), with the roundoff-level rest of the budget folded
+    into the weakest user, so the budget comes out fully spent. A solve runs
+    1 + iterations + 2 + 1 walks: the threshold check, the halvings, the
+    secant's two ends and the powers.
     """
     thresholds, over_gain, budget, _ = _check_phase2_inputs(scenario, budget, epsilon)
     lo = float(np.min(scenario.su_thresholds))
@@ -367,10 +383,9 @@ def solve_bisection(scenario: Scenario, budget: float,
             lo = t
         else:
             hi = t
-    theta_star = lo
-    level = _level_root(thresholds, over_gain, budget, lo, hi)
-    return _assemble(scenario, thresholds, over_gain, budget, theta_star, level, iterations,
-                     "bisection")
+    level = _secant_level(thresholds, over_gain, budget, lo, hi)
+    return _assemble(scenario, thresholds, over_gain, budget, lo, level, iterations,
+                     1 + iterations + 2, "bisection")
 
 
 def solve_waterfill(scenario: Scenario, budget: float,
@@ -392,10 +407,11 @@ def solve_waterfill(scenario: Scenario, budget: float,
     thresholds, over_gain, budget, walk = _check_phase2_inputs(scenario, budget, epsilon)
     lo = min(thresholds)
     hi = max(_sinr_upper_bound(scenario, budget), lo) * _BRACKET_TOP
-    theta = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
+    theta, walks = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
     flooded = len({t for t in thresholds if t <= theta}) - 1
-    return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, "waterfill")
+    return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, 1 + walks,
+                     "waterfill")
 
 
 def _waterfill_rows(threshold: float, gains: np.ndarray, noise,

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from noma_crn import (
+    ChannelModel,
     InfeasibleError,
     Scenario,
     admit,
     compute_sinr,
+    draw_scenario,
     feasible,
     min_power_for_targets,
+    run_seed,
+    run_two_phase,
     solve_bisection,
     solve_waterfill,
     total_power_curve,
@@ -477,7 +481,8 @@ class TestWaterfillRoot:
                     assert not feasible(s, top, budget)
 
     def test_fewer_walks_than_bisection(self, monkeypatch):
-        # Bisection runs its fixed halvings and then its own _level_root.
+        # Bisection runs the threshold check, its fixed halvings, the secant's
+        # two ends and the powers' walk: 1 + iterations + 2 + 1 walks.
         rng = np.random.default_rng(8)
         walks = _record_walks(monkeypatch)
         for _ in range(20):
@@ -485,10 +490,149 @@ class TestWaterfillRoot:
             walks.clear()
             b = solve_bisection(scenario, 2.0 * budget)
             bisection_walks = len(walks)
-            assert bisection_walks > b.iterations
+            assert bisection_walks == 1 + b.iterations + 2 + 1
             walks.clear()
             solve_waterfill(scenario, 2.0 * budget)
             assert len(walks) <= MAX_WALKS_PER_SOLVE < bisection_walks
+
+    def test_evaluations_count_the_walks(self, monkeypatch):
+        # Each solver counts its own walks where it runs them; the count
+        # equals a wrapped _equality_walk's, over the families above: budgets
+        # with slack, zero and 1e-12 slack, and one user.
+        rng = np.random.default_rng(9)
+        walks = _record_walks(monkeypatch)
+        for _ in range(300):
+            scenario, required = _random_instance(rng)
+            for budget in (required, required * (1.0 + 1e-12),
+                           required * 10 ** rng.uniform(0.0, 3.0)):
+                for solve in (solve_bisection, solve_waterfill):
+                    walks.clear()
+                    sol = solve(scenario, budget)
+                    assert sol.evaluations == len(walks)
+                    if solve is solve_bisection:
+                        assert sol.evaluations == 1 + sol.iterations + 2 + 1
+
+
+def _record_levels(monkeypatch) -> list:
+    """(lo, hi, level) of every secant step bisection takes, in call order."""
+    levels = []
+    secant_level = maxmin._secant_level
+
+    def recording(thresholds, over_gain, budget, lo, hi):
+        levels.append((lo, hi, secant_level(thresholds, over_gain, budget, lo, hi)))
+        return levels[-1][2]
+
+    monkeypatch.setattr(maxmin, "_secant_level", recording)
+    return levels
+
+
+class TestBisectionFinish:
+    """Bisection ends its halvings with one secant step through S at the
+    final bracket's ends; the budget fold then closes the roundoff-level rest."""
+
+    @staticmethod
+    def _solve(scenario, budget, levels, epsilon=maxmin.DEFAULT_EPSILON):
+        """Bisection under warnings-as-errors; checks the step's level lies in
+        its bracket, whose bottom is theta_star, and that the powers spend the
+        budget. Returns the solution and the step's (lo, hi, level)."""
+        levels.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_bisection(scenario, budget, epsilon)
+        (lo, hi, level), = levels
+        assert lo <= level <= hi
+        assert lo == sol.theta_star
+        assert abs(math.fsum(sol.powers.tolist()) - budget) <= 1e-12 * budget
+        return sol, (lo, hi, level)
+
+    def test_matches_waterfill_sinr(self):
+        # Mixed thresholds, 5-30 users and 0-2 PUs, as online allocations
+        # see them. A finish that only folds the residual into the weakest
+        # user is up to 1.5e-6 off water-filling's SINRs on these cells, and
+        # beyond 1e-9 on 278 of the 297 that admit anyone; with the step, the
+        # two solvers' SINRs agree to roundoff (8.5e-13).
+        rng = np.random.default_rng(21)
+        solved = 0
+        for i in range(300):
+            n = int(rng.integers(5, 31))
+            model = ChannelModel(num_sus=n, num_pus=int(rng.integers(0, 3)))
+            scenario = draw_scenario(model, run_seed(21, 0, i),
+                                     rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], n))
+            b = run_two_phase(scenario, solver="bisection").maxmin
+            w = run_two_phase(scenario, solver="waterfill").maxmin
+            if b is None:
+                continue
+            np.testing.assert_allclose(b.achieved_sinr, w.achieved_sinr, rtol=1e-9, atol=0.0)
+            solved += 1
+        assert solved > 200
+
+    def test_zero_halvings(self, monkeypatch):
+        # A tolerance wider than the bracket runs no halving, and the step
+        # spans the whole bracket, from the thresholds to the lone-user bound.
+        # By convexity it still lands where S fits. Past a few users S at the
+        # bound overflows, and the step keeps lo.
+        rng = np.random.default_rng(22)
+        levels = _record_levels(monkeypatch)
+        stepped = 0
+        for _ in range(200):
+            scenario, _ = _random_instance(rng)
+            scenario = scenario.prefix(min(3, scenario.n_sus))
+            required = min_power_for_targets(scenario, scenario.su_thresholds)[0]
+            budget = required * 10 ** rng.uniform(0.0, 3.0)
+            sol, (lo, hi, level) = self._solve(scenario, budget, levels, epsilon=1e300)
+            assert sol.iterations == 0 and sol.evaluations == 4
+            assert total_power_curve(scenario, level) <= budget * (1.0 + 1e-12)
+            stepped += level > lo
+        assert stepped > 150
+        for threshold_db in (0.0, -20.0):
+            for n in (30, 60):
+                gains = np.sort(10 ** rng.uniform(2, 6, n))[::-1]
+                scenario = Scenario(gains, np.full(n, 1e-15), np.full(n, 10 ** (threshold_db / 10)),
+                                    [], [], 0.1)
+                sol, (lo, hi, level) = self._solve(scenario, 0.1, levels, epsilon=1e300)
+                assert sol.iterations == 0
+                assert total_power_curve(scenario, hi) == math.inf and level == lo
+
+    def test_lone_user_step_is_exact(self, monkeypatch):
+        # S(theta) = theta * N/G is linear, so where the step is taken it lands
+        # on the root: S there is the budget to roundoff. The bound u = B*G/N
+        # often fits by rounding; the bracket's top is then u and the step
+        # keeps lo. Either way the fold ends the user at SINR u.
+        rng = np.random.default_rng(23)
+        levels = _record_levels(monkeypatch)
+        stepped = 0
+        for _ in range(300):
+            scenario, _ = _random_instance(rng)
+            lone = scenario.prefix(1)
+            need = min_power_for_targets(lone, lone.su_thresholds)[0]
+            budget = need * 10 ** rng.uniform(0.0, 3.0)
+            sol, (lo, hi, level) = self._solve(lone, budget, levels)
+            bound = maxmin._sinr_upper_bound(lone, budget)
+            np.testing.assert_allclose(sol.achieved_sinr, [bound], rtol=1e-12)
+            if level > lo:
+                stepped += 1
+                assert total_power_curve(lone, level) == pytest.approx(budget, rel=1e-12)
+            else:
+                assert total_power_curve(lone, hi) <= budget
+        assert stepped > 20
+
+    def test_extreme_inputs(self, monkeypatch):
+        # The extreme-input rows of up to three users, each solved with its
+        # budget as a float: thresholds up to 1e200 and budgets up to 1e300
+        # times what they cost, so the step's walks run up to the top of the
+        # float range. Bisection runs ~1,000 halvings on these brackets.
+        levels = _record_levels(monkeypatch)
+        solved = stepped = 0
+        for threshold, gains, noise, budgets in _extreme_blocks():
+            k = gains.shape[1]
+            if k > 3:
+                continue
+            for row_gains, budget in zip(gains, budgets.tolist()):
+                scenario = Scenario(row_gains, noise, np.full(k, threshold), [], [], 1.0)
+                _, (lo, _, level) = self._solve(scenario, budget, levels)
+                stepped += level > lo
+                solved += 1
+        assert solved > 100 and stepped > 20
 
 
 def _common_threshold_block(rng, rows: int, k: int, threshold: float):
