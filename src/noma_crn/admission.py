@@ -56,16 +56,27 @@ def admit(scenario: Scenario, budget: float) -> AdmissionResult:
     admitted set is always feasible there and ``remaining_power`` is never
     negative.
     """
+    return _admit(scenario.su_thresholds.tolist(), scenario.noise_over_gain.tolist(), budget)[0]
+
+
+def _admit(thresholds: list[float], over_gain: list[float],
+           budget: float) -> tuple[AdmissionResult, tuple[list[float], float]]:
+    """:func:`admit` on the walk's float lists; also returns the walk itself.
+
+    The walk's powers and total are those of the unbudgeted walk over the
+    admitted prefix bit for bit: every admitted user is walked by the same
+    operations, and the budget only stops the walk.
+    """
     _check_budget(budget)
-    powers, allocated = _equality_walk(scenario.su_thresholds.tolist(),
-                                       scenario.noise_over_gain.tolist(), budget)
-    return AdmissionResult(
+    walk = powers, allocated = _equality_walk(thresholds, over_gain, budget)
+    result = AdmissionResult(
         admitted_count=len(powers),
         powers=np.asarray(powers, dtype=float),
         remaining_power=budget - allocated,
         budget=float(budget),
-        n_users=scenario.n_sus,
+        n_users=len(thresholds),
     )
+    return result, walk
 
 
 def required_prefix_power(scenario: Scenario, k: int) -> float:

@@ -6,6 +6,10 @@ as possible while nobody drops below their own threshold. At the optimum
 every user sits at ``max(theta_star, threshold)`` and the budget is spent
 completely; this characterization makes the optimum unique. Every solve
 closes the budget on the weakest user from its final walk's own total.
+Each public solver checks its inputs (:func:`_check_phase2_inputs`) and
+hands them to a core over the walk's float lists (:func:`_bisection`,
+:func:`_waterfill`); ``pipeline.run_two_phase`` calls the cores on
+admission's lists and walk, with no restricted Scenario.
 
 The SINR constraints are lower-triangular in the ordered powers, so the
 minimal total power S(theta) holding everyone at ``max(theta, threshold_n)``
@@ -121,11 +125,10 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be strictly positive and finite")
 
 
-def _check_phase2_inputs(scenario: Scenario, budget: float,
-                         epsilon: float) -> tuple[list[float], list[float], float,
-                                               tuple[list[float], float]]:
-    """Thresholds and N_n/G_n as the walk's float lists, the budget as a float,
-    and the walk at the thresholds.
+def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> tuple:
+    """A public solver's arguments as its core takes them: thresholds and
+    N_n/G_n as the walk's float lists, the gains and noise, the budget as a
+    float, epsilon, and the walk at the thresholds.
 
     That walk is also the walk at theta = min(thresholds), where S starts to
     rise. A numpy budget is taken as a Python float, so every probe runs in
@@ -144,7 +147,8 @@ def _check_phase2_inputs(scenario: Scenario, budget: float,
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    return thresholds, over_gain, float(budget), walk
+    return (thresholds, over_gain, scenario.su_gains, scenario.su_noise, float(budget),
+            epsilon, walk)
 
 
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
@@ -153,12 +157,11 @@ def _fits(thresholds: list[float], over_gain: list[float], budget: float,
     return _equality_walk(thresholds, over_gain, budget, theta, keep=False)[0]
 
 
-def _sinr_upper_bound(scenario: Scenario, budget: float) -> float:
+def _sinr_upper_bound(gains: np.ndarray, noise: np.ndarray, budget: float) -> float:
     # No user can beat the SINR of getting the whole budget interference-free.
     # It may overflow to inf, silently in float arithmetic; each solver brackets that case.
     budget = float(budget)
-    return max(budget * g / n for g, n in zip(scenario.su_gains.tolist(),
-                                              scenario.su_noise.tolist()))
+    return max(budget * g / n for g, n in zip(gains.tolist(), noise.tolist()))
 
 
 #: Water-filling's bracket ends this factor past max(lone-user bound, smallest
@@ -298,15 +301,17 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
 
 
 #: The top half of the float range, where a SINR computed within rounding
-#: of its target can overflow.
+#: of its cap can overflow.
 _NEAR_FLOAT_MAX = sys.float_info.max / 2
 
 
-def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float],
-              budget: float, theta_star: float, level: float, iterations: int,
-              evaluations: int, solver: str) -> MaxMinSolution:
+def _assemble(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
+              noise: np.ndarray, budget: float, bound: float, theta_star: float,
+              level: float, iterations: int, evaluations: int,
+              solver: str) -> MaxMinSolution:
     """Powers at targets max(level, thresholds), budget closed on the last user.
 
+    ``bound`` is the lone-user bound (:func:`_sinr_upper_bound`).
     ``evaluations`` counts the walks before this one, which adds its own.
     """
     powers, total = _equality_walk(thresholds, over_gain, floor=level)
@@ -314,15 +319,17 @@ def _assemble(scenario: Scenario, thresholds: list[float], over_gain: list[float
     # weakest user; only its own SINR moves, and only by ~1 ulp.
     powers[-1] = max(powers[-1] + (budget - total), 0.0)
     powers = np.asarray(powers)
-    # Each SINR comes out within rounding of max(level, threshold), so only a
-    # target in the top half of the float range can overflow, to an inf the
-    # callers refuse by name. Numpy's error state, which costs about as much
-    # as the division, is set only then.
-    if level > _NEAR_FLOAT_MAX or max(thresholds) > _NEAR_FLOAT_MAX:
+    # No power exceeds the budget beyond rounding, so the lone-user bound
+    # caps every SINR, whatever the level: a wide epsilon can leave the level
+    # far below theta* and fold most of the budget into the weakest user.
+    # Only a bound in the top half of the float range lets a SINR overflow,
+    # to an inf the callers refuse by name. Numpy's error state, which costs
+    # about as much as the division, is set only then.
+    if bound > _NEAR_FLOAT_MAX:
         with np.errstate(over="ignore"):
-            achieved_sinr = _sinr(powers, scenario.su_gains, scenario.su_noise)
+            achieved_sinr = _sinr(powers, gains, noise)
     else:
-        achieved_sinr = _sinr(powers, scenario.su_gains, scenario.su_noise)
+        achieved_sinr = _sinr(powers, gains, noise)
     return MaxMinSolution(
         theta_star=float(theta_star),
         powers=powers,
@@ -367,9 +374,20 @@ def solve_bisection(scenario: Scenario, budget: float,
     1 + iterations + 2 + 1 walks: the threshold check, the halvings, the
     secant's two ends and the powers.
     """
-    thresholds, over_gain, budget, _ = _check_phase2_inputs(scenario, budget, epsilon)
-    lo = float(np.min(scenario.su_thresholds))
-    hi = min(max(_sinr_upper_bound(scenario, budget), lo), sys.float_info.max)
+    return _bisection(*_check_phase2_inputs(scenario, budget, epsilon))
+
+
+def _bisection(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
+               noise: np.ndarray, budget: float, epsilon: float,
+               walk: tuple[list[float], float]) -> MaxMinSolution:
+    """:func:`solve_bisection` on checked inputs (:func:`_check_phase2_inputs`).
+
+    ``walk``, the walk at the thresholds, is counted and not reused: the
+    halvings start from the bracket.
+    """
+    lo = min(thresholds)
+    bound = _sinr_upper_bound(gains, noise, budget)
+    hi = min(max(bound, lo), sys.float_info.max)
     width = hi - lo
     if width <= epsilon:
         iterations = 0
@@ -384,7 +402,7 @@ def solve_bisection(scenario: Scenario, budget: float,
         else:
             hi = t
     level = _secant_level(thresholds, over_gain, budget, lo, hi)
-    return _assemble(scenario, thresholds, over_gain, budget, lo, level, iterations,
+    return _assemble(thresholds, over_gain, gains, noise, budget, bound, lo, level, iterations,
                      1 + iterations + 2, "bisection")
 
 
@@ -404,14 +422,22 @@ def solve_waterfill(scenario: Scenario, budget: float,
     reports how many threshold levels were fully flooded: the distinct
     thresholds <= theta_star, less one.
     """
-    thresholds, over_gain, budget, walk = _check_phase2_inputs(scenario, budget, epsilon)
+    return _waterfill(*_check_phase2_inputs(scenario, budget, epsilon))
+
+
+def _waterfill(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
+               noise: np.ndarray, budget: float, epsilon: float,
+               walk: tuple[list[float], float]) -> MaxMinSolution:
+    """:func:`solve_waterfill` on checked inputs (:func:`_check_phase2_inputs`);
+    ``epsilon`` is unused, and ``walk`` starts the root."""
     lo = min(thresholds)
-    hi = max(_sinr_upper_bound(scenario, budget), lo) * _BRACKET_TOP
+    bound = _sinr_upper_bound(gains, noise, budget)
+    hi = max(bound, lo) * _BRACKET_TOP
     theta, walks = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
     flooded = len({t for t in thresholds if t <= theta}) - 1
-    return _assemble(scenario, thresholds, over_gain, budget, theta, theta, flooded, 1 + walks,
-                     "waterfill")
+    return _assemble(thresholds, over_gain, gains, noise, budget, bound, theta, theta, flooded,
+                     1 + walks, "waterfill")
 
 
 def _waterfill_rows(threshold: float, gains: np.ndarray, noise,

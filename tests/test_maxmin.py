@@ -378,7 +378,8 @@ class TestSinrUpperBound:
                 expected = float(np.max(budget * gains / noise))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = maxmin._sinr_upper_bound(scenario, np.float64(budget))
+                got = maxmin._sinr_upper_bound(scenario.su_gains, scenario.su_noise,
+                                                 np.float64(budget))
             assert got.hex() == expected.hex()
             overflowed += got == math.inf
         assert overflowed
@@ -476,7 +477,7 @@ class TestWaterfillRoot:
             for s, need in ((scenario, required),
                             (lone, min_power_for_targets(lone, lone.su_thresholds)[0])):
                 for budget in (need, need * 10 ** rng.uniform(0.0, 3.0)):
-                    top = max(maxmin._sinr_upper_bound(s, budget),
+                    top = max(maxmin._sinr_upper_bound(s.su_gains, s.su_noise, budget),
                               min(s.su_thresholds)) * maxmin._BRACKET_TOP
                     assert not feasible(s, top, budget)
 
@@ -607,7 +608,7 @@ class TestBisectionFinish:
             need = min_power_for_targets(lone, lone.su_thresholds)[0]
             budget = need * 10 ** rng.uniform(0.0, 3.0)
             sol, (lo, hi, level) = self._solve(lone, budget, levels)
-            bound = maxmin._sinr_upper_bound(lone, budget)
+            bound = maxmin._sinr_upper_bound(lone.su_gains, lone.su_noise, budget)
             np.testing.assert_allclose(sol.achieved_sinr, [bound], rtol=1e-12)
             if level > lo:
                 stepped += 1
@@ -633,6 +634,30 @@ class TestBisectionFinish:
                 stepped += level > lo
                 solved += 1
         assert solved > 100 and stepped > 20
+
+    def test_wide_epsilon_on_extreme_inputs(self, monkeypatch):
+        # The same rows with a tolerance far wider than theta*'s scale: no
+        # halving runs, the level stays near the thresholds, and the fold
+        # hands the weakest user most of the budget, whatever the level. Its
+        # SINR can then overflow; the lone-user bound caps every SINR, so
+        # only rows whose bound is in the top half of the float range may
+        # reach inf, and none warns. Guarded on the level and the thresholds
+        # instead, 5 of these rows warned (threshold 5.7e61, budget 5.6e240).
+        levels = _record_levels(monkeypatch)
+        solved = overflowed = 0
+        for threshold, gains, noise, budgets in _extreme_blocks():
+            k = gains.shape[1]
+            if k > 3:
+                continue
+            for row_gains, budget in zip(gains, budgets.tolist()):
+                scenario = Scenario(row_gains, noise, np.full(k, threshold), [], [], 1.0)
+                sol, _ = self._solve(scenario, budget, levels, epsilon=1e300)
+                if not np.isfinite(sol.achieved_sinr).all():
+                    overflowed += 1
+                    bound = maxmin._sinr_upper_bound(scenario.su_gains, scenario.su_noise, budget)
+                    assert bound > sys.float_info.max / 2
+                solved += 1
+        assert solved > 100 and overflowed > 0
 
 
 def _common_threshold_block(rng, rows: int, k: int, threshold: float):
