@@ -24,7 +24,8 @@ checks as flags: a bad value from any source exits 2 (usage), while unknown
 config keys and an unreadable or malformed config file exit 3.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, 3 file parse error,
-4 infeasible, 5 capacity exceeded, 6 output I/O error. Capacity covers what
+5 capacity exceeded, 6 output I/O error; 4 is unused, since admission only
+admits what the budget affords. Capacity covers what
 cannot be computed or checked in floating point: a file too large for an
 oracle (``verify``), a phase-2 SINR beyond the float range (``maxmin``,
 ``verify``), and an oracle grid whose numbers are not finite, which leaves
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .admission import admit
-from .errors import CapacityError, InfeasibleError, ScenarioParseError
+from .errors import CapacityError, ScenarioParseError
 from .maxmin import DEFAULT_EPSILON
 from .model import power_budget, read_scenario
 from .montecarlo import ChannelModel, run_fig2, run_fig3, run_fig4
@@ -60,7 +61,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-EXIT_INFEASIBLE = 4
 EXIT_CAPACITY = 5
 EXIT_IO = 6
 
@@ -313,12 +313,10 @@ def _cmd_admit(cfg: RunConfig) -> tuple[int, list[str]]:
 def _two_phase(scenario, names, epsilon: float) -> dict:
     """``run_two_phase`` under each named solver, refusing a SINR beyond the float range.
 
-    Both solvers keep theta* a finite float; such a SINR leaves an inf or nan
-    in the achieved SINRs, reported here for the first such user as a
-    CapacityError, not as numpy overflow warnings.
+    Both solvers keep theta* a finite float; such a SINR leaves an inf in the
+    achieved SINRs, reported here for the first such user as a CapacityError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = {name: run_two_phase(scenario, solver=name, epsilon=epsilon) for name in names}
+    outcomes = {name: run_two_phase(scenario, solver=name, epsilon=epsilon) for name in names}
     for name, outcome in outcomes.items():
         sol = outcome.maxmin
         if sol is None:
@@ -463,9 +461,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -9,7 +9,9 @@ closes the budget on the weakest user from its final walk's own total.
 Each public solver checks its inputs (:func:`_check_phase2_inputs`) and
 hands them to a core over the walk's float lists (:func:`_bisection`,
 :func:`_waterfill`); ``pipeline.run_two_phase`` calls the cores on
-admission's lists and walk, with no restricted Scenario.
+admission's lists and walk, with no restricted Scenario. Past its bracket's
+lone-user bound, a core reads a user only as its threshold and its cost
+c_n = N_n/G_n; the SINRs P_n / (sum_{j<n} P_j + c_n) are the walk read back.
 
 The SINR constraints are lower-triangular in the ordered powers, so the
 minimal total power S(theta) holding everyone at ``max(theta, threshold_n)``
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import Scenario, _check_budget, _equality_rows, _equality_walk, _sinr
+from .model import Scenario, _check_budget, _equality_rows, _equality_walk
 
 __all__ = [
     "MaxMinSolution",
@@ -127,8 +129,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> tuple:
     """A public solver's arguments as its core takes them: thresholds and
-    N_n/G_n as the walk's float lists, the gains and noise, the budget as a
-    float, epsilon, and the walk at the thresholds.
+    N_n/G_n as the walk's float lists, the budget as a float, the lone-user
+    bound (:func:`_sinr_upper_bound`), epsilon, and the walk at the thresholds.
 
     That walk is also the walk at theta = min(thresholds), where S starts to
     rise. A numpy budget is taken as a Python float, so every probe runs in
@@ -147,8 +149,9 @@ def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> t
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    return (thresholds, over_gain, scenario.su_gains, scenario.su_noise, float(budget),
-            epsilon, walk)
+    budget = float(budget)
+    return (thresholds, over_gain, budget,
+            _sinr_upper_bound(scenario.su_gains, scenario.su_noise, budget), epsilon, walk)
 
 
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
@@ -169,7 +172,8 @@ def _sinr_upper_bound(gains: np.ndarray, noise: np.ndarray, budget: float) -> fl
 #: top never does: at theta >= u * _BRACKET_TOP user n alone costs at least
 #: B * (1 + 2**-50) * (1 - 2**-53)**5 > B, one factor (1 - 2**-53) per
 #: rounding (two in u, one each in the top, N_n/G_n and theta*N_n/G_n), and
-#: the users before and after it only add. A lone user's root is u itself;
+#: the users before and after it only add. The row kernel's bound B/c_n
+#: rounds once where u rounds twice. A lone user's root is u itself;
 #: with the top one float past u, Newton, aiming half an ulp past the root,
 #: would keep leaving the bracket for geometric midpoints.
 _BRACKET_TOP = 1.0 + 2.0 ** -50
@@ -300,40 +304,29 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     return _bits_float(fit), probes
 
 
-#: The top half of the float range, where a SINR computed within rounding
-#: of its cap can overflow.
-_NEAR_FLOAT_MAX = sys.float_info.max / 2
-
-
-def _assemble(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
-              noise: np.ndarray, budget: float, bound: float, theta_star: float,
-              level: float, iterations: int, evaluations: int,
+def _assemble(thresholds: list[float], over_gain: list[float], budget: float,
+              theta_star: float, level: float, iterations: int, evaluations: int,
               solver: str) -> MaxMinSolution:
-    """Powers at targets max(level, thresholds), budget closed on the last user.
+    """Powers at targets max(level, thresholds), budget closed on the last user,
+    and the SINRs they achieve.
 
-    ``bound`` is the lone-user bound (:func:`_sinr_upper_bound`).
     ``evaluations`` counts the walks before this one, which adds its own.
     """
     powers, total = _equality_walk(thresholds, over_gain, floor=level)
     # Fold the (roundoff-level) residual against the walk's own total into the
     # weakest user; only its own SINR moves, and only by ~1 ulp.
     powers[-1] = max(powers[-1] + (budget - total), 0.0)
-    powers = np.asarray(powers)
-    # No power exceeds the budget beyond rounding, so the lone-user bound
-    # caps every SINR, whatever the level: a wide epsilon can leave the level
-    # far below theta* and fold most of the budget into the weakest user.
-    # Only a bound in the top half of the float range lets a SINR overflow,
-    # to an inf the callers refuse by name. Numpy's error state, which costs
-    # about as much as the division, is set only then.
-    if bound > _NEAR_FLOAT_MAX:
-        with np.errstate(over="ignore"):
-            achieved_sinr = _sinr(powers, gains, noise)
-    else:
-        achieved_sinr = _sinr(powers, gains, noise)
+    # model._sinr's operations in float arithmetic: a SINR past the float
+    # range is inf, with no warning, and the callers refuse it by name.
+    achieved_sinr = []
+    prior = 0.0
+    for power, cost in zip(powers, over_gain):
+        achieved_sinr.append(power / (prior + cost))
+        prior += power
     return MaxMinSolution(
         theta_star=float(theta_star),
-        powers=powers,
-        achieved_sinr=achieved_sinr,
+        powers=np.asarray(powers),
+        achieved_sinr=np.asarray(achieved_sinr),
         iterations=iterations,
         evaluations=evaluations + 1,
         solver=solver,
@@ -377,16 +370,14 @@ def solve_bisection(scenario: Scenario, budget: float,
     return _bisection(*_check_phase2_inputs(scenario, budget, epsilon))
 
 
-def _bisection(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
-               noise: np.ndarray, budget: float, epsilon: float,
-               walk: tuple[list[float], float]) -> MaxMinSolution:
+def _bisection(thresholds: list[float], over_gain: list[float], budget: float, bound: float,
+               epsilon: float, walk: tuple[list[float], float]) -> MaxMinSolution:
     """:func:`solve_bisection` on checked inputs (:func:`_check_phase2_inputs`).
 
     ``walk``, the walk at the thresholds, is counted and not reused: the
     halvings start from the bracket.
     """
     lo = min(thresholds)
-    bound = _sinr_upper_bound(gains, noise, budget)
     hi = min(max(bound, lo), sys.float_info.max)
     width = hi - lo
     if width <= epsilon:
@@ -402,8 +393,8 @@ def _bisection(thresholds: list[float], over_gain: list[float], gains: np.ndarra
         else:
             hi = t
     level = _secant_level(thresholds, over_gain, budget, lo, hi)
-    return _assemble(thresholds, over_gain, gains, noise, budget, bound, lo, level, iterations,
-                     1 + iterations + 2, "bisection")
+    return _assemble(thresholds, over_gain, budget, lo, level, iterations, 1 + iterations + 2,
+                     "bisection")
 
 
 def solve_waterfill(scenario: Scenario, budget: float,
@@ -425,59 +416,58 @@ def solve_waterfill(scenario: Scenario, budget: float,
     return _waterfill(*_check_phase2_inputs(scenario, budget, epsilon))
 
 
-def _waterfill(thresholds: list[float], over_gain: list[float], gains: np.ndarray,
-               noise: np.ndarray, budget: float, epsilon: float,
-               walk: tuple[list[float], float]) -> MaxMinSolution:
+def _waterfill(thresholds: list[float], over_gain: list[float], budget: float, bound: float,
+               epsilon: float, walk: tuple[list[float], float]) -> MaxMinSolution:
     """:func:`solve_waterfill` on checked inputs (:func:`_check_phase2_inputs`);
     ``epsilon`` is unused, and ``walk`` starts the root."""
     lo = min(thresholds)
-    bound = _sinr_upper_bound(gains, noise, budget)
     hi = max(bound, lo) * _BRACKET_TOP
     theta, walks = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
     flooded = len({t for t in thresholds if t <= theta}) - 1
-    return _assemble(thresholds, over_gain, gains, noise, budget, bound, theta, theta, flooded,
-                     1 + walks, "waterfill")
+    return _assemble(thresholds, over_gain, budget, theta, theta, flooded, 1 + walks,
+                     "waterfill")
 
 
-def _waterfill_rows(threshold: float, gains: np.ndarray, noise,
+def _waterfill_rows(threshold: float, costs: np.ndarray,
                     budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`solve_waterfill` on every row of an (R, K) block whose users share a threshold.
 
-    Row r holds one admitted set of k_r >= 1 users, right-aligned: gains
-    sorted non-increasing in its last k_r columns and 0 in the columns before
-    them, ``noise`` broadcasting against them, a budget ``budgets[r]`` that
-    affords its users at ``threshold``. Returns theta_star (R,) and the powers
+    Row r holds one admitted set of k_r >= 1 users, right-aligned: their
+    costs N_n/G_n, in gain order, in its last k_r columns and 0 in the
+    columns before them, and a budget ``budgets[r]`` that affords its users
+    at ``threshold``. Returns theta_star (R,) and the powers
     (R, K), 0 in the padded columns, each row equal to ``solve_waterfill`` on
     its users bit for bit. With one threshold t the only segment is [t, the
     scalar solver's bracket top), where every user sits at theta, so S(theta)
     is a polynomial in closed form. Its root, found without a walk
     (:func:`_estimate_rows`), is walked once; one Newton step from that walk
     (:func:`_newton_rows`) and the last-fit search then run on all rows at
-    once, every probe one :func:`_equality_rows` walk of the block, and end
-    on the same canonical theta_star, the largest float with
+    once, every probe one :func:`_equality_rows` walk of the block with each
+    user at the probe, which never lies below t, and end on the same
+    canonical theta_star, the largest float with
     S(theta) <= budget, in about four walks a block, the powers' included.
     A padded user costs N/G = 0, so it walks to power 0.0 and leaves the
     total at 0.0: each row's walk is its dense walk bit for bit, total
     included, and one search and one budget fold serve rows of every count,
     one user included.
     """
-    noise = np.broadcast_to(noise, gains.shape)
-    counts = np.count_nonzero(gains, axis=1)
+    counts = np.count_nonzero(costs, axis=1)
     lo = np.full(len(budgets), threshold)
     with np.errstate(all="ignore"):  # the bound and S(theta) may overflow, as in the scalar root
-        over_gain = np.where(gains > 0.0, noise / gains, 0.0)
-        hi = np.maximum(np.max(budgets[:, None] * gains / noise, axis=1), lo) * _BRACKET_TOP
-        lo, hi, theta = _newton_rows(threshold, over_gain, budgets, lo, hi, counts)
-        theta = _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta)
-    powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
+        # The lone-user bound B/c_n of each row's cheapest user, past its padding.
+        cheapest = np.min(costs, axis=1, initial=math.inf, where=costs > 0.0)
+        hi = np.maximum(budgets / cheapest, lo) * _BRACKET_TOP
+        lo, hi, theta = _newton_rows(costs, budgets, lo, hi, counts)
+        theta = _last_fit_rows(costs, budgets, lo, hi, theta)
+    powers, _, total = _equality_rows(theta, costs)
     # The budget closes on the weakest user against the walk's total, as in _assemble.
     last = powers[:, -1] + (budgets - total)
     powers[:, -1] = np.where(last < 0.0, 0.0, last)
     return theta, powers
 
 
-def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
+def _newton_rows(over_gain, budgets, lo, hi, counts):
     """:func:`_newton_root`'s first step on every row, on one segment where every user is floored.
 
     Row r's ``counts[r]`` users sit in its last columns, after padding that
@@ -495,7 +485,7 @@ def _newton_rows(threshold, over_gain, budgets, lo, hi, counts):
     exponents = np.arange(users - 1, -1, -1.0)
     exponents = np.where(exponents < counts[:, None], exponents, 0.0)
     theta = _estimate_rows(over_gain, exponents, budgets, lo, hi)
-    powers, _, total = _equality_rows(threshold, over_gain, floor=theta)
+    powers, _, total = _equality_rows(theta, over_gain)
     fit = total <= budgets
     lo = np.where(fit, theta, lo)
     hi = np.where(fit, hi, theta)
@@ -543,14 +533,15 @@ def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:
     return np.where((lo < theta) & (theta < hi), theta, lo)
 
 
-def _last_fit_rows(threshold, over_gain, budgets, lo, hi, theta) -> np.ndarray:
+def _last_fit_rows(over_gain, budgets, lo, hi, theta) -> np.ndarray:
     """:func:`_last_fit` masked per row, over int64 float bit patterns, with a
     first stride of one float: the galloping rows double their strides in
-    lockstep, so one stride serves them all."""
+    lockstep, so one stride serves them all. Every probe lies at or above the
+    bracket's bottom, the rows' threshold, so each row walks at the probe."""
 
     def fits(probe, where, fit):
-        floor = np.where(where, probe, fit).view(np.float64)
-        return where & (_equality_rows(threshold, over_gain, floor=floor)[2] <= budgets)
+        level = np.where(where, probe, fit).view(np.float64)
+        return where & (_equality_rows(level, over_gain)[2] <= budgets)
 
     fit, miss = lo.view(np.int64), hi.view(np.int64)
     start = np.minimum(np.maximum(theta.view(np.int64), fit), miss)

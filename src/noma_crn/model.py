@@ -26,7 +26,7 @@ Files carry dB/dBm values; conversion to linear happens on read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,23 +66,20 @@ def _equality_walk(targets, costs, budget: float = math.inf, floor: float = 0.0,
     return (powers if keep else True), total
 
 
-def _equality_rows(targets, costs, budget=math.inf,
-                   floor=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_equality_walk` on every row of (R, N) arrays at once.
+def _equality_rows(lam, costs, budget=math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_equality_walk` on every row of an (R, N) array of costs at once,
+    every user of row r held at SINR ``lam[r]``.
 
-    ``targets`` broadcasts to the shape of ``costs``, and ``budget`` and
-    ``floor`` to (R,). A column at a time, in the walk's operation order, each
-    row runs P_n = lambda_n * total + lambda_n * c_n with lambda_n =
-    max(target_n, floor) and stops before its first user with
-    ``total + P_n > budget``. Returns the walked powers, zero past where each row
-    stopped, each row's count of walked users and its total: row r equals the
-    walk on row r's lists bit for bit.
+    ``lam`` and ``budget`` broadcast to (R,): a scalar ``lam`` serves every
+    row. A column at a time, in the walk's operation order, each row runs
+    P_n = lambda * total + lambda * c_n and stops before its first user with
+    ``total + P_n > budget``. Returns the walked powers, zero past where each
+    row stopped, each row's count of walked users and its total: row r equals
+    the walk on row r's costs with every target lam[r], bit for bit.
     """
     costs = np.asarray(costs, dtype=float)
-    floor = np.asarray(floor, dtype=float)[..., None]
-    lam = np.empty(costs.shape)
-    lam[...] = np.where(targets > floor, targets, floor)
-    lam_cost = lam * costs
+    lam = np.asarray(lam, dtype=float)
+    lam_cost = lam[..., None] * costs
     # An infinite budget stops no row, so the stopping test is skipped for it.
     budgeted = budget is not math.inf
     powers = np.zeros(costs.shape)
@@ -90,8 +87,8 @@ def _equality_rows(targets, costs, budget=math.inf,
     counts = np.full(len(costs), 0 if budgeted else costs.shape[1])
     walking = np.ones(len(costs), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic, as in the walk
-        for lam_n, lam_cost_n, power in zip(lam.T, lam_cost.T, powers.T):
-            np.multiply(lam_n, total, out=power)
+        for lam_cost_n, power in zip(lam_cost.T, powers.T):
+            np.multiply(lam, total, out=power)
             power += lam_cost_n
             if budgeted:
                 walking &= ~(total + power > budget)
@@ -147,6 +144,8 @@ class Scenario:
     order : original index of the user at each sorted position, so results
         can be reported in the caller's original ordering. Defaults to the
         identity.
+    noise_over_gain : derived per-user cost c_n = N_n/G_n (watts), inf past the
+        float range (never admitted); a cost that underflows to 0 is refused.
 
     Use :func:`sort_users` to build a Scenario from unsorted per-user lists;
     direct construction requires the gains to be sorted already. N = 0 is a
@@ -160,6 +159,7 @@ class Scenario:
     pu_interference_limits: np.ndarray
     p_max: float
     order: np.ndarray | None = None
+    noise_over_gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gains = _as_positive_array("su_gains", self.su_gains)
@@ -169,6 +169,11 @@ class Scenario:
         pu_limits = _as_positive_array("pu_interference_limits", self.pu_interference_limits)
         if not (len(gains) == len(noise) == len(thresholds)):
             raise ValueError("su_gains, su_noise and su_thresholds must have equal length")
+        with np.errstate(over="ignore"):
+            costs = noise / gains
+        if not costs.all():
+            raise ValueError("su_noise / su_gains entries must not underflow to 0")
+        costs.flags.writeable = False
         if len(pu_gains) != len(pu_limits):
             raise ValueError("pu_gains and pu_interference_limits must have equal length")
         if np.any(np.diff(gains) > 0.0):
@@ -190,6 +195,7 @@ class Scenario:
         object.__setattr__(self, "pu_interference_limits", pu_limits)
         object.__setattr__(self, "p_max", p_max)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "noise_over_gain", costs)
 
     @property
     def n_sus(self) -> int:
@@ -198,11 +204,6 @@ class Scenario:
     @property
     def n_pus(self) -> int:
         return len(self.pu_gains)
-
-    @property
-    def noise_over_gain(self) -> np.ndarray:
-        """Per-user N_n/G_n (watts); the single-user power cost of one unit of SINR."""
-        return self.su_noise / self.su_gains
 
     def prefix(self, count: int) -> Scenario:
         """The same instance restricted to the first ``count`` sorted users."""
@@ -218,6 +219,7 @@ class Scenario:
             su_noise=self.su_noise[:count],
             su_thresholds=self.su_thresholds[:count],
             order=order,
+            noise_over_gain=self.noise_over_gain[:count],
         )
         return restricted
 
@@ -263,14 +265,17 @@ def sort_users(
     )
 
 
-def _sinr(powers, gains, noise) -> np.ndarray:
-    """gamma_n = P_n G_n / (sum_{j<n} P_j G_n + N_n) over the last axis, unchecked.
+def _sinr(powers, costs) -> np.ndarray:
+    """gamma_n = P_n / (sum_{j<n} P_j + c_n) over the last axis, unchecked.
 
-    After SIC, only the stronger-gain users 1..n-1 interfere with user n.
+    After SIC, only the stronger-gain users 1..n-1 interfere with user n:
+    P_n G_n / (G_n sum_{j<n} P_j + N_n), divided through by G_n, with the
+    cost c_n = N_n/G_n. That is the equality walk read backwards, and it
+    overflows only where the SINR itself leaves the float range.
     """
     prior = np.zeros_like(powers)
     np.cumsum(powers[..., :-1], axis=-1, out=prior[..., 1:])
-    return powers * gains / (prior * gains + noise)
+    return powers / (prior + costs)
 
 
 def compute_sinr(scenario: Scenario, powers) -> np.ndarray:
@@ -280,7 +285,7 @@ def compute_sinr(scenario: Scenario, powers) -> np.ndarray:
         raise ValueError(f"powers must have shape ({scenario.n_sus},), got {p.shape}")
     if p.size and (np.any(p < 0.0) or not np.all(np.isfinite(p))):
         raise ValueError("powers must be non-negative and finite")
-    return _sinr(p, scenario.su_gains, scenario.su_noise)
+    return _sinr(p, scenario.noise_over_gain)
 
 
 def power_budget(scenario: Scenario) -> float:
@@ -291,7 +296,8 @@ def power_budget(scenario: Scenario) -> float:
     """
     if scenario.n_pus == 0:
         return scenario.p_max
-    return float(_budgets(scenario.pu_gains, scenario.pu_interference_limits, scenario.p_max))
+    with np.errstate(over="ignore"):  # p_max caps a ratio past the float range
+        return float(_budgets(scenario.pu_gains, scenario.pu_interference_limits, scenario.p_max))
 
 
 def read_scenario(path: str) -> Scenario:

@@ -23,7 +23,7 @@ row's users right-aligned after zero-cost padding and equal to
 :func:`~noma_crn.maxmin.solve_waterfill` on that run bit for bit. The SINRs
 are checked and converted to dB once per block, and the SINR means are
 summed run by run. A grid point's constants (noise, PU limits, p_max and
-thresholds) are computed once for all its chunks, and with no PUs there is
+threshold) are computed once for all its chunks, and with no PUs there is
 no PU gain to draw a budget from or to audit. Results are therefore
 reproducible and do not depend on the block size, execution order or worker
 count.
@@ -277,16 +277,16 @@ def draw_scenario(model: ChannelModel, rng_seed, threshold_db=10.0) -> Scenario:
 
 
 def _point_constants(model: ChannelModel, threshold_db: float):
-    """A grid point's per-user noise, PU limits, p_max and thresholds, and
+    """A grid point's per-user noise, PU limits, p_max and threshold, and
     whether they pass Scenario's checks; every chunk of the point shares them."""
     n, m = model.num_sus, model.num_pus
     with np.errstate(all="ignore"):  # values that fail the checks are refused by the caller
         noise = np.full(n, dbm_to_watts(model.su_noise_dbm))
         limits = np.full(m, dbm_to_watts(model.pu_interference_limit_dbm))
         p_max = float(dbm_to_watts(model.p_max_dbm))
-        thresholds = np.full(n, db_to_linear(threshold_db))
-    ok = bool(_positive_rows(noise, thresholds, limits)) and 0.0 < p_max < math.inf
-    return noise, limits, p_max, thresholds, ok
+        threshold = float(db_to_linear(threshold_db))
+    ok = bool(_positive_rows(noise, np.full(n, threshold), limits)) and 0.0 < p_max < math.inf
+    return noise, limits, p_max, threshold, ok
 
 
 def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, constants, with_phase2: bool):
@@ -309,44 +309,47 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, constants, with_p
     """
     m = model.num_pus
     runs = len(seed_words)
-    noise, limits, p_max, thresholds, shared_ok = constants
+    noise, limits, p_max, threshold, shared_ok = constants
     su_u, su_shadow, pu_u, pu_shadow = _draw_rows(
         model, (Generator(PCG64(_SeedWords(words))) for words in seed_words), runs)
     # Sorted by value: tied gains are the same value, so their order is moot.
     gains = -np.sort(-channel_gain(model, _disk_radii(model, su_u), su_shadow), axis=1)
-    if m:
-        pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
-        with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+    with np.errstate(all="ignore"):  # rows that fail the checks are replayed below
+        costs = noise / gains
+        if m:
+            pu_gains = channel_gain(model, _disk_radii(model, pu_u), pu_shadow)
             budgets = _budgets(pu_gains, limits, p_max)
-        ok = _positive_rows(gains, pu_gains) & (budgets > 0.0) & shared_ok
-    else:  # every budget is p_max, which shared_ok checks
-        pu_gains = np.empty((runs, 0))
-        budgets = np.full(runs, p_max)
-        ok = _positive_rows(gains) & shared_ok
+            ok = _positive_rows(gains, pu_gains) & (budgets > 0.0)
+        else:  # every budget is p_max, which shared_ok checks
+            pu_gains = np.empty((runs, 0))
+            budgets = np.full(runs, p_max)
+            ok = _positive_rows(gains)
+    ok &= costs.all(axis=1) & shared_ok
     good = runs if ok.all() else int(np.argmin(ok))
     refused = None
     if good < runs:
         refused = (gains[good], pu_gains[good])
-        gains, pu_gains, budgets = gains[:good], pu_gains[:good], budgets[:good]
+        costs, pu_gains, budgets = costs[:good], pu_gains[:good], budgets[:good]
 
-    powers, counts, _ = _equality_rows(thresholds, noise / gains, budgets)
+    powers, counts, _ = _equality_rows(threshold, costs, budgets)
     sinr_db = []
     if with_phase2 and counts.any():
         rows = np.flatnonzero(counts)
         k = counts[rows]
         width = int(k.max())
         # Each admitted prefix right-aligned in one (rows, width) block after
-        # zero gains; row-major order pairs the prefix's entries with the block's.
+        # zero costs; row-major order pairs the prefix's entries with the block's.
         prefix = np.arange(width) < k[:, None]
         aligned = prefix[:, ::-1]
         r, c = np.nonzero(prefix)
-        block_gains = np.zeros(prefix.shape)
-        block_gains[aligned] = gains[rows[r], c]
-        _, block = _waterfill_rows(thresholds[0], block_gains, noise[:width], budgets[rows])
+        block_costs = np.zeros(prefix.shape)
+        block_costs[aligned] = costs[rows[r], c]
+        _, block = _waterfill_rows(threshold, block_costs, budgets[rows])
         if m:
             powers[rows[r], c] = block[aligned]
-        with np.errstate(over="ignore"):  # an inf SINR is refused in linear_to_db
-            sinr = _sinr(block, block_gains, noise[:width])
+        # A padded user's SINR is 0/0, and an inf SINR is refused in linear_to_db.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sinr = _sinr(block, block_costs)
         # One check and one log over the block: a padded user's SINR counts
         # as 1 there, 0 dB, and as +inf in the min. Each count's users are
         # summed alone, in the one-run chain's summation order; the sum over
@@ -364,8 +367,8 @@ def _runs_as_rows(model: ChannelModel, seed_words: np.ndarray, constants, with_p
         violations = np.count_nonzero(np.any(injected > limits * (1.0 + AUDIT_RTOL), axis=1))
 
     if refused is not None:  # the error the one-run chain raises at this run
-        _check_budget(power_budget(Scenario(refused[0], noise, thresholds, refused[1],
-                                            limits, p_max)))
+        _check_budget(power_budget(Scenario(refused[0], noise, np.full(len(noise), threshold),
+                                            refused[1], limits, p_max)))
         raise AssertionError("a run the batched checks refused passed the one-run checks")
     return int(counts.sum()), int(violations), sinr_db
 

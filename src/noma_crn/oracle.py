@@ -91,10 +91,11 @@ def oracle_max_min_sinr(scenario: Scenario, budget: float, grid: GridSpec) -> Gr
 
     Enumerates the uniform grid (nested per-axis subdivision, up to three
     users), discards points violating a threshold, and maximizes the per-point
-    minimum SINR. Rounding the true optimizer down to the grid lowers any SINR
-    by at most ``step * G_n / N_n``, which gives the reported resolution
-    ``step * max(G_n / N_n)``: the optimum exceeds the returned value by at
-    most that, provided its threshold slack covers it.
+    minimum SINR, written out here as p_n / (sum_{j<n} p_j + c_n) with the
+    cost c_n = N_n/G_n. Rounding the true optimizer down to the grid lowers
+    any SINR by at most ``step / c_n``, which gives the reported resolution
+    ``step / min(c_n)``: the optimum exceeds the returned value by at most
+    that, provided its threshold slack covers it.
     """
     n = scenario.n_sus
     if n == 0:
@@ -105,17 +106,16 @@ def oracle_max_min_sinr(scenario: Scenario, budget: float, grid: GridSpec) -> Gr
     if array_points > MAX_GRID_ARRAY_POINTS:
         raise CapacityError(f"grid arrays of {array_points} points for {n} users exceed the "
                             f"{MAX_GRID_ARRAY_POINTS}-point cap; lower points_per_axis")
-    gains = scenario.su_gains
-    noise = scenario.su_noise
+    costs = scenario.noise_over_gain
     thresholds = scenario.su_thresholds
     axis = np.linspace(0.0, grid.budget, grid.points_per_axis)
     # Tiny slack so points on the simplex boundary survive float dust.
     cap = budget * (1.0 + 1e-12)
-    resolution = grid.step * float(np.max(gains / noise))
+    resolution = grid.step / float(np.min(costs))
 
     if n == 1:
         p0 = axis[axis <= cap]
-        sinr = p0 * gains[0] / noise[0]
+        sinr = p0 / costs[0]
         ok = sinr >= thresholds[0]
         return GridSearchResult(_best_feasible(sinr, ok), resolution, p0.size)
 
@@ -123,8 +123,8 @@ def oracle_max_min_sinr(scenario: Scenario, budget: float, grid: GridSpec) -> Gr
         p0, p1 = np.meshgrid(axis, axis, indexing="ij")
         keep = (p0 + p1) <= cap
         p0, p1 = p0[keep], p1[keep]
-        g0 = p0 * gains[0] / noise[0]
-        g1 = p1 * gains[1] / (p0 * gains[1] + noise[1])
+        g0 = p0 / costs[0]
+        g1 = p1 / (p0 + costs[1])
         ok = (g0 >= thresholds[0]) & (g1 >= thresholds[1])
         return GridSearchResult(_best_feasible(np.minimum(g0, g1), ok), resolution, p0.size)
 
@@ -139,9 +139,9 @@ def oracle_max_min_sinr(scenario: Scenario, budget: float, grid: GridSpec) -> Gr
             continue
         p1v, p2v = flat1[keep], flat2[keep]
         points += p1v.size
-        g0 = p0 * gains[0] / noise[0]
-        g1 = p1v * gains[1] / (p0 * gains[1] + noise[1])
-        g2 = p2v * gains[2] / ((p0 + p1v) * gains[2] + noise[2])
+        g0 = p0 / costs[0]
+        g1 = p1v / (p0 + costs[1])
+        g2 = p2v / ((p0 + p1v) + costs[2])
         ok = (g0 >= thresholds[0]) & (g1 >= thresholds[1]) & (g2 >= thresholds[2])
         if not np.any(ok):
             continue

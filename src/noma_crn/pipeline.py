@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admission import AdmissionResult, _admit
-from .maxmin import DEFAULT_EPSILON, MaxMinSolution, _bisection, _check_epsilon, _waterfill
+from .maxmin import (DEFAULT_EPSILON, MaxMinSolution, _bisection, _check_epsilon,
+                     _sinr_upper_bound, _waterfill)
 from .model import Scenario, power_budget
 
 __all__ = ["TwoPhaseResult", "run_two_phase"]
@@ -52,6 +53,6 @@ def run_two_phase(scenario: Scenario, *, solver: str = "waterfill",
     k = admission.admitted_count
     solution = None
     if k >= 1:
-        solution = _SOLVERS[solver](thresholds[:k], over_gain[:k], scenario.su_gains[:k],
-                                    scenario.su_noise[:k], budget, epsilon, walk)
+        bound = _sinr_upper_bound(scenario.su_gains[:k], scenario.su_noise[:k], budget)
+        solution = _SOLVERS[solver](thresholds[:k], over_gain[:k], budget, bound, epsilon, walk)
     return TwoPhaseResult(budget=budget, admission=admission, maxmin=solution)

@@ -14,6 +14,7 @@ from noma_crn import (DEFAULT_EPSILON, Scenario, ScenarioParseError, cli, read_s
 from noma_crn.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -171,6 +172,7 @@ class TestParseConfig:
          {"targets_db": [4000]}, "targets_db"),
         (SIM_FIG4 + ["--threshold-range-db", "1e308,1e308"], None, "--threshold-range-db"),
         (SIM_FIG4 + ["--threshold-range-db=-4000,5"], None, "--threshold-range-db"),
+        (["maxmin", "--epsilon", "inf"], None, "--epsilon"),
     ], ids=["config-runs-text", "config-solver", "config-experiment", "config-format",
             "config-grid-points", "config-seed-fraction", "config-runs-bool", "flag-sus-negative",
             "flag-n-values-empty", "flag-threshold-range-reversed", "flag-grid-points-one",
@@ -178,7 +180,8 @@ class TestParseConfig:
             "flags-unread-by-fig4", "config-unread-by-fig4", "flag-epsilon-unread-by-fig3",
             "flag-epsilon-unread-by-fig4", "config-epsilon-unread-by-fig3",
             "flag-targets-db-overflow", "flag-targets-db-underflow", "config-targets-db-overflow",
-            "flag-threshold-range-overflow", "flag-threshold-range-underflow"])
+            "flag-threshold-range-overflow", "flag-threshold-range-underflow",
+            "flag-epsilon-inf"])
     def test_malformed_option_value_is_usage_error(self, tmp_path, capsys, scenario_file,
                                                    argv, config, name):
         if argv[0] != "simulate":
@@ -187,6 +190,18 @@ class TestParseConfig:
             argv = [*argv, "--config", write_text(tmp_path / "c.json", json.dumps(config))]
         assert main(argv) == EXIT_USAGE
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fragment", [
+        (None, "cannot read config file"),
+        ('{"runs": 5', "invalid JSON"),
+        ("[5]", "must be a JSON object"),
+    ], ids=["unreadable", "invalid-json", "not-an-object"])
+    def test_bad_config_file_is_parse_error(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "c.json"
+        if text is not None:
+            write_text(path, text)
+        assert main(SIM_FIG2 + ["--config", str(path)]) == EXIT_PARSE
+        assert fragment in capsys.readouterr().err
 
     def test_env_seed_used_as_default(self, monkeypatch):
         monkeypatch.setenv("NOMA_CRN_SEED", "314")
@@ -283,6 +298,26 @@ class TestMainExitCodes:
             # A lone user's SINR itself overflows: refused before the oracle.
             assert main(["verify", "--scenario", lone]) == EXIT_CAPACITY
             assert "beyond the float range" in capsys.readouterr().err
+
+    def test_verify_fails_on_a_phase_1_mismatch(self, tmp_path, capsys):
+        # The strongest user's 200 dB target does not fit, so greedy admits
+        # nobody, while the second user alone fits.
+        path = write_text(tmp_path / "mixed.txt",
+                          "noise_dbm -120\npmax_dbm 20\nsu -50 200\nsu -60 5\n")
+        assert main(["verify", "--scenario", path]) == EXIT_MISMATCH
+        assert capsys.readouterr().out.splitlines() == [
+            "phase 1: greedy admitted 0, exhaustive best 1 -> MISMATCH",
+            "phase 2: nobody admitted; nothing to verify",
+            "verification: FAIL"]
+
+    def test_verify_skips_phase_2_above_three_users(self, tmp_path, capsys):
+        lines = ["noise_dbm -120", "pmax_dbm 20"] + [f"su -{50 + i} 5" for i in range(4)]
+        path = write_text(tmp_path / "four.txt", "\n".join(lines) + "\n")
+        assert main(["verify", "--scenario", path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "phase 1: greedy admitted 4, exhaustive best 4 -> agree",
+            "phase 2 grid: skipped (4 admitted users exceed the 3-user grid oracle)",
+            "verification: PASS"]
 
     def test_verify_passes_on_small_scenario(self, scenario_file, capsys):
         assert main(["verify", "--scenario", scenario_file]) == EXIT_OK
@@ -388,6 +423,50 @@ class TestMaxminCommand:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "solver,theta_linear,theta_db,iterations,user_index,power_w,achieved_db"
         assert len(lines) == 1 + 2 * 2  # both solvers x two users
+
+
+#: Files where a product leaves the float range but no SINR or budget does.
+FLOAT_RANGE_FILES = {
+    # P_n*G_n overflows; both users end at theta* ~0.29, -5.3 dB.
+    "power-times-gain": "noise_dbm 3111.7\npmax_dbm 3010\nsu 100 -30\nsu 100 -30\n",
+    # P*G and the lone-user bound B*G/N overflow; theta* is 1e10, 100 dB.
+    "lone-user-100-db": "noise_dbm 3030\npmax_dbm 130\nsu 3000 0\n",
+    # The PU's I/g overflows, and p_max caps it.
+    "pu-ratio": "noise_dbm -120\npmax_dbm 20\nsu -50 5\npu -300 3000\n",
+}
+
+
+class TestFloatRangeFiles:
+    """Each command exits 0 on these files, with finite SINRs and no warning."""
+
+    @pytest.mark.parametrize("name", FLOAT_RANGE_FILES)
+    def test_maxmin_reports_finite_sinrs(self, tmp_path, capsys, name):
+        path = write_text(tmp_path / "s.txt", FLOAT_RANGE_FILES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["maxmin", "--scenario", path, "--format", "csv"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 * read_scenario(path).n_sus
+        for row in rows:
+            _, _, theta_db, _, _, _, achieved_db = row.split(",")
+            # Every user sits at theta*; bisection's level is within epsilon of it.
+            assert float(achieved_db) == pytest.approx(float(theta_db), abs=1e-4)
+
+    @pytest.mark.parametrize("name", FLOAT_RANGE_FILES)
+    def test_verify_passes(self, tmp_path, capsys, name):
+        path = write_text(tmp_path / "s.txt", FLOAT_RANGE_FILES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--scenario", path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
+
+    def test_admit_caps_the_overflowing_pu_ratio(self, tmp_path, capsys):
+        path = write_text(tmp_path / "s.txt", FLOAT_RANGE_FILES["pu-ratio"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["admit", "--scenario", path]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["budget: 0.1 W (20 dBm)", "admitted: 1 of 1"]
 
 
 class TestSimulateCommand:

@@ -373,13 +373,11 @@ class TestSinrUpperBound:
             gains = np.sort(10 ** rng.uniform(-300, 300, n))[::-1]
             noise = 10 ** rng.uniform(-300, 300, n)
             budget = float(10 ** rng.uniform(-300, 300))
-            scenario = Scenario(gains, noise, np.ones(n), [], [], budget)
             with np.errstate(all="ignore"):
                 expected = float(np.max(budget * gains / noise))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = maxmin._sinr_upper_bound(scenario.su_gains, scenario.su_noise,
-                                                 np.float64(budget))
+                got = maxmin._sinr_upper_bound(gains, noise, np.float64(budget))
             assert got.hex() == expected.hex()
             overflowed += got == math.inf
         assert overflowed
@@ -669,11 +667,19 @@ def _common_threshold_block(rng, rows: int, k: int, threshold: float):
     return gains, noise, _equality_rows(threshold, noise / gains)[2]
 
 
+def _solve_rows(threshold: float, gains, noise, budgets):
+    """_waterfill_rows on the block of costs N/G of these gains and noise
+    (broadcasting against them), with cost 0 where a gain is 0, the padding."""
+    noise = np.broadcast_to(noise, gains.shape)
+    costs = np.divide(noise, gains, out=np.zeros(gains.shape), where=gains > 0.0)
+    return maxmin._waterfill_rows(threshold, costs, budgets)
+
+
 def _rows_equal_scalar(threshold: float, gains, noise, budgets) -> np.ndarray:
     """Check _waterfill_rows against solve_waterfill row by row, bit for bit;
     returns the rows' theta_star. A row's users are its nonzero gains, which
     end the row; its padded columns must get zero power."""
-    theta, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
+    theta, powers = _solve_rows(threshold, gains, noise, budgets)
     noise = np.broadcast_to(noise, gains.shape)
     for r, budget in enumerate(budgets.tolist()):
         k = np.count_nonzero(gains[r])
@@ -785,7 +791,7 @@ class TestWaterfillRows:
         walks = _count_row_walks(monkeypatch)
         for threshold, gains, noise, budgets in _walk_count_blocks():
             walks.clear()
-            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            _, powers = _solve_rows(threshold, gains, noise, budgets)
             assert len(walks) <= WALKS_PER_BLOCK
             _assert_rows_spend_budgets(gains, powers, budgets)
             _rows_equal_scalar(threshold, gains, noise, budgets)
@@ -810,14 +816,14 @@ class TestWaterfillRows:
         estimated = []
         for threshold, gains, noise, budgets in blocks:
             walks.clear()
-            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            _, powers = _solve_rows(threshold, gains, noise, budgets)
             estimated.append(len(walks))
             _assert_rows_spend_budgets(gains, powers, budgets)
         monkeypatch.setattr(maxmin, "_estimate_rows", lambda over_gain, exponents, budgets,
                             lo, hi: lo)
         for block, count in zip(blocks, estimated):
             walks.clear()
-            maxmin._waterfill_rows(*block)
+            _solve_rows(*block)
             assert count <= len(walks)
 
     def test_random_blocks(self):
@@ -856,7 +862,7 @@ class TestWaterfillRows:
         for threshold, gains, noise, budgets in _extreme_blocks():
             estimates.clear()
             theta = _rows_equal_scalar(threshold, gains, noise, budgets)
-            _, powers = maxmin._waterfill_rows(threshold, gains, noise, budgets)
+            _, powers = _solve_rows(threshold, gains, noise, budgets)
             _assert_rows_spend_budgets(gains, powers, budgets)
             rows += len(budgets)
             far += np.count_nonzero(np.abs(theta.view(np.int64) - estimates[0].view(np.int64))
@@ -908,7 +914,7 @@ class TestWaterfillRows:
         noise, budgets = np.full(k, 1e-15), np.full(8, 0.1)
         bound = np.max(0.1 * gains / noise, axis=1)
         with np.errstate(over="ignore"):
-            assert np.all(_equality_rows(threshold, noise / gains, floor=bound)[2] == math.inf)
+            assert np.all(_equality_rows(bound, noise / gains)[2] == math.inf)
         _rows_equal_scalar(threshold, gains, noise, budgets)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -928,8 +934,7 @@ class TestWaterfillRows:
         over_gain = noise / gains
         lo = np.full(rows, threshold)
         with np.errstate(all="ignore"):
-            fit = maxmin._last_fit_rows(threshold, over_gain, budgets, lo, np.full(rows, math.inf),
-                                        lo)
+            fit = maxmin._last_fit_rows(over_gain, budgets, lo, np.full(rows, math.inf), lo)
         assert fit.tolist() == theta.tolist()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -952,7 +957,7 @@ class TestWaterfillRows:
             noise = np.full(k, 1e-15)
             bound = np.max(0.1 * gains / noise, axis=1)
             with np.errstate(over="ignore"):
-                overflowing.append(_equality_rows(threshold, noise / gains, floor=bound)[2])
+                overflowing.append(_equality_rows(bound, noise / gains)[2])
             blocks.append((gains, noise, np.full(2, 0.1)))
         assert np.all(np.concatenate(overflowing) == math.inf)
         gains = np.sort(10 ** rng.uniform(3, 6, (6, 2)), axis=1)[:, ::-1].copy()

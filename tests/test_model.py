@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_crn import Scenario, compute_sinr, power_budget, sort_users
+from noma_crn import Scenario, compute_sinr, power_budget, read_scenario, sort_users
 
 positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -89,6 +89,27 @@ class TestScenarioValidation:
             assert not got.flags.writeable, field
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: Scenario([[1.0]], [1.0], [1.0], [], [], 1.0), "one-dimensional"),
+    (lambda tmp: Scenario([1.0, 1.0], [1.0], [1.0, 1.0], [], [], 1.0), "equal length"),
+    (lambda tmp: Scenario([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [], [], 1.0, order=[0, 0]),
+     "permutation"),
+    # N/G = 1e-200/1e200 underflows to 0: a user that costs nothing has no SINR.
+    (lambda tmp: Scenario([1e200, 1e-10], [1e-200, 1e-15], [1.0, 1.0], [], [], 1.0),
+     "underflow"),
+    (lambda tmp: sort_users([1.0], [1.0], [1.0], p_max=1.0).to_original_order([1.0, 2.0]),
+     "length"),
+    (lambda tmp: compute_sinr(Scenario([1.0], [1.0], [1.0], [], [], 1.0), [-1.0]),
+     "non-negative"),
+    (lambda tmp: compute_sinr(Scenario([1.0], [1.0], [1.0], [], [], 1.0), [np.inf]), "finite"),
+    (lambda tmp: read_scenario(str(tmp / "missing.txt")), "cannot read"),
+], ids=["two-dimensional", "unequal-su-lengths", "order-not-permutation", "zero-cost",
+        "original-order-length", "negative-power", "infinite-power", "missing-file"])
+def test_checks_refuse_bad_arguments(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
 class TestComputeSinr:
     def test_single_user_direct_substitution(self):
         s = Scenario([1.0], [1.0], [1.0], [], [], 1.0)
@@ -97,6 +118,11 @@ class TestComputeSinr:
     def test_interference_only_from_better_gain_users(self):
         s = Scenario([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [], [], 1.0)
         np.testing.assert_allclose(compute_sinr(s, [1.0, 2.0]), [1.0, 1.0])
+
+    def test_sinrs_past_a_product_overflow_stay_finite(self):
+        # P*G = 1e310 overflows, while the SINR P/(prior + N/G) is 1e10.
+        s = Scenario([1e300], [1e300], [1.0], [], [], 1e10)
+        np.testing.assert_array_equal(compute_sinr(s, [1e10]), [1e10])
 
     def test_zero_powers_give_zero_sinr(self):
         s = Scenario([2.0, 1.0], [1.0, 3.0], [1.0, 1.0], [], [], 1.0)
@@ -139,6 +165,11 @@ class TestPowerBudget:
         # Ratios I/g are 100 and 0.02; the tighter PU sets the budget.
         s = Scenario([1.0], [1.0], [1.0], [1e-14, 1e-10], [1e-12, 2e-12], 0.1)
         assert power_budget(s) == pytest.approx(0.02, rel=1e-12)
+
+    def test_ratio_past_the_float_range_is_capped_without_warning(self):
+        # I/g = 1e300/1e-300 overflows to inf; p_max takes its place, unwarned.
+        s = Scenario([1.0], [1.0], [1.0], [1e-300, 1e-3], [1e300, 1.0], 0.1)
+        assert power_budget(s) == 0.1
 
     def test_cap_binds_when_pus_are_loose(self):
         s = Scenario([1.0], [1.0], [1.0], [1e-3], [1.0], 0.1)

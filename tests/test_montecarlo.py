@@ -104,6 +104,17 @@ class TestChannelModelValidation:
             ChannelModel(num_sus=1, num_pus=0, shadowing_sigma_db=-1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChannelModel(num_sus=1, num_pus=0, system_constant_k=0.0), "system_constant_k"),
+    (lambda: ChannelModel(num_sus=1, num_pus=0, system_constant_k=-1e3), "system_constant_k"),
+    (lambda: run_fig2(small_model(), [10.0], [3], runs=0, master_seed=1), "runs must be"),
+    (lambda: run_fig3(small_model(), [10.0], [3], runs=0, master_seed=1), "runs must be"),
+], ids=["k-zero", "k-negative", "fig2-no-runs", "fig3-no-runs"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDrawScenario:
     def test_same_seed_identical_draw(self):
         m = small_model(n=8, m=3)
@@ -304,6 +315,8 @@ class TestRunBatchedKernel:
         ({"p_max_dbm": float("inf")}, "p_max must be"),
         # 2e-323 W over PU gains above 60: the budget underflows to 0.
         ({"pu_interference_limit_dbm": -3197.0, "cell_radius": 2.0}, "budget must be"),
+        # 1e-323 W of noise over gains above ~3: a user's N/G underflows to 0.
+        ({"su_noise_dbm": -3200.0, "system_constant_k": 1e10}, "must not underflow to 0"),
     ])
     def test_refused_draw_raises_the_scalar_error(self, field, message):
         model = small_model(n=4, m=1, **field)
@@ -466,17 +479,25 @@ class TestRunSeedWords:
 
 class TestEqualityRows:
     @pytest.mark.parametrize("budgeted", [True, False])
-    def test_each_row_is_the_scalar_walk(self, budgeted):
+    @pytest.mark.parametrize("per_row", [True, False], ids=["per-row", "scalar"])
+    def test_each_row_is_the_scalar_walk(self, budgeted, per_row):
+        # One SINR per row, as the sweeps walk: per row (the phase-2 probes,
+        # some on the threshold levels) or one scalar for every row (admission).
         rng = np.random.default_rng(5)
+        levels = 10 ** (np.array([0.0, 3.0, 6.0, 10.0, 20.0]) / 10)
         for n in (0, 1, 2, 7, 30):
             rows = 64
-            targets = 10 ** (rng.choice([0.0, 3.0, 6.0, 10.0, 20.0], (rows, n)) / 10)
+            if per_row:
+                lam = 10 ** rng.uniform(-1, 2.5, rows)
+                lam[::4] = rng.choice(levels, rows // 4)
+            else:
+                lam = float(rng.choice(levels))
+            targets = [[float(sinr)] * n for sinr in np.broadcast_to(lam, rows)]
             costs = 10 ** rng.uniform(-13, -9, (rows, n))
             # The running totals after each user, as the walk adds them up.
             totals = np.zeros((rows, n + 1))
             for r in range(rows):
-                for k, power in enumerate(_equality_walk(targets[r].tolist(),
-                                                         costs[r].tolist())[0]):
+                for k, power in enumerate(_equality_walk(targets[r], costs[r].tolist())[0]):
                     totals[r, k + 1] = totals[r, k] + power
             # From nobody admitted through every stopping column to everyone;
             # odd rows get a budget exactly equal to a running total, which
@@ -485,36 +506,16 @@ class TestEqualityRows:
             if budgeted and n:
                 budgets[1::2] = totals[1::2, 1:][np.arange(rows // 2),
                                                 rng.integers(0, n, rows // 2)]
-            powers, counts, total = _equality_rows(targets, costs, budgets)
+            powers, counts, total = _equality_rows(lam, costs, budgets)
             for r in range(rows):
                 budget = float(budgets[r]) if budgeted else np.inf
-                walked, walked_total = _equality_walk(targets[r].tolist(), costs[r].tolist(),
-                                                      budget)
+                walked, walked_total = _equality_walk(targets[r], costs[r].tolist(), budget)
                 assert counts[r] == len(walked)
                 assert powers[r, :counts[r]].tolist() == walked
                 assert not powers[r, counts[r]:].any()
                 assert total[r] == walked_total
             if budgeted and n > 1:
                 assert len(set(counts.tolist())) > 2
-
-    def test_per_row_floor_is_the_scalar_walk_at_that_floor(self):
-        # Floors below, between, on and above the thresholds, so some users
-        # of a row keep their target and the others sit at the floor.
-        rng = np.random.default_rng(12)
-        levels = 10 ** (np.array([0.0, 3.0, 6.0, 10.0, 20.0]) / 10)
-        for n in (1, 2, 7, 30):
-            rows = 64
-            targets = rng.choice(levels, (rows, n))
-            costs = 10 ** rng.uniform(-13, -9, (rows, n))
-            floor = 10 ** rng.uniform(-1, 2.5, rows)
-            floor[::4] = rng.choice(levels, rows // 4)
-            powers, counts, total = _equality_rows(targets, costs, floor=floor)
-            assert counts.tolist() == [n] * rows
-            for r in range(rows):
-                walked, walked_total = _equality_walk(targets[r].tolist(), costs[r].tolist(),
-                                                      floor=float(floor[r]))
-                assert powers[r].tolist() == walked
-                assert total[r] == walked_total
 
 
 class TestSnapshot:

@@ -50,6 +50,17 @@ class TestRunTwoPhase:
         assert out.admission.admitted_count == 0
         assert out.maxmin is None
 
+    @pytest.mark.parametrize("scenario", [
+        # P_n*G_n and G_n*sum_{j<n} P_j + N_n overflow; theta* is ~0.29.
+        Scenario([1e10] * 2, [1.5e308] * 2, [1e-3] * 2, [], [], 1e298),
+        # P*G = 1e310 overflows; theta* is 1e10.
+        Scenario([1e300], [1e300], [1.0], [], [], 1e10),
+    ], ids=["sum-of-products", "lone-user"])
+    def test_sinrs_equal_theta_star_past_a_product_overflow(self, scenario):
+        sol = run_two_phase(scenario).maxmin
+        assert np.isfinite(sol.achieved_sinr).all()
+        np.testing.assert_allclose(sol.achieved_sinr, sol.theta_star, rtol=1e-12)
+
     def test_empty_scenario(self):
         out = run_two_phase(Scenario([], [], [], [], [], 1.0))
         assert out.admission.admitted_count == 0 and out.maxmin is None
