@@ -1,17 +1,17 @@
 """Phase 2: maximize the minimum SINR among the admitted users.
 
-Given the admitted set (a Scenario restricted to it, see ``Scenario.prefix``)
-and the full budget P_s, find power levels that push the lowest SINR as high
-as possible while nobody drops below their own threshold. At the optimum
-every user sits at ``max(theta_star, threshold)`` and the budget is spent
-completely; this characterization makes the optimum unique. Every solve
-closes the budget on the weakest user from its final walk's own total.
-Each public solver checks its inputs (:func:`_check_phase2_inputs`) and
-hands them to a core over the walk's float lists (:func:`_bisection`,
-:func:`_waterfill`); ``pipeline.run_two_phase`` calls the cores on
-admission's lists and walk, with no restricted Scenario. Past its bracket's
-lone-user bound, a core reads a user only as its threshold and its cost
-c_n = N_n/G_n; the SINRs P_n / (sum_{j<n} P_j + c_n) are the walk read back.
+Given the admitted users and the full budget P_s, find power levels that
+push the lowest SINR as high as possible while nobody drops below their own
+threshold. At the optimum every user sits at ``max(theta_star, threshold)``
+and the budget is spent completely; this characterization makes the optimum
+unique. Every solve closes the budget on the weakest user from its final
+walk's own total. Each public solver checks its inputs
+(:func:`_check_phase2_inputs`) and hands them to a core over the walk's float
+lists (:func:`_bisection`, :func:`_waterfill`); ``pipeline.run_two_phase``
+calls the cores on admission's lists and walk. A core reads a user only as
+its threshold and its cost c_n = N_n/G_n: both search the one bracket
+[min threshold, B/min c_n * (1 + 2**-50)) (:func:`_bracket`), and the SINRs
+P_n / (sum_{j<n} P_j + c_n) are the walk read back.
 
 The SINR constraints are lower-triangular in the ordered powers, so the
 minimal total power S(theta) holding everyone at ``max(theta, threshold_n)``
@@ -129,8 +129,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> tuple:
     """A public solver's arguments as its core takes them: thresholds and
-    N_n/G_n as the walk's float lists, the budget as a float, the lone-user
-    bound (:func:`_sinr_upper_bound`), epsilon, and the walk at the thresholds.
+    N_n/G_n as the walk's float lists, the budget as a float, epsilon, and the
+    walk at the thresholds.
 
     That walk is also the walk at theta = min(thresholds), where S starts to
     rise. A numpy budget is taken as a Python float, so every probe runs in
@@ -149,9 +149,7 @@ def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> t
             f"budget {budget!r} W is below the {required!r} W needed to hold "
             "every admitted user at its threshold"
         )
-    budget = float(budget)
-    return (thresholds, over_gain, budget,
-            _sinr_upper_bound(scenario.su_gains, scenario.su_noise, budget), epsilon, walk)
+    return thresholds, over_gain, float(budget), epsilon, walk
 
 
 def _fits(thresholds: list[float], over_gain: list[float], budget: float,
@@ -160,23 +158,24 @@ def _fits(thresholds: list[float], over_gain: list[float], budget: float,
     return _equality_walk(thresholds, over_gain, budget, theta, keep=False)[0]
 
 
-def _sinr_upper_bound(gains: np.ndarray, noise: np.ndarray, budget: float) -> float:
-    # No user can beat the SINR of getting the whole budget interference-free.
-    # It may overflow to inf, silently in float arithmetic; each solver brackets that case.
-    budget = float(budget)
-    return max(budget * g / n for g, n in zip(gains.tolist(), noise.tolist()))
-
-
-#: Water-filling's bracket ends this factor past max(lone-user bound, smallest
-#: threshold), a few floats out. The bound u = B*G_n/N_n may itself fit; the
-#: top never does: at theta >= u * _BRACKET_TOP user n alone costs at least
-#: B * (1 + 2**-50) * (1 - 2**-53)**5 > B, one factor (1 - 2**-53) per
-#: rounding (two in u, one each in the top, N_n/G_n and theta*N_n/G_n), and
-#: the users before and after it only add. The row kernel's bound B/c_n
-#: rounds once where u rounds twice. A lone user's root is u itself;
-#: with the top one float past u, Newton, aiming half an ulp past the root,
-#: would keep leaving the bracket for geometric midpoints.
+#: Phase 2's bracket ends this factor past max(lone-user bound, smallest
+#: threshold), a few floats out. The bound u = B/c_n of the cheapest user n
+#: may itself fit; the top never does: at theta >= u * _BRACKET_TOP user n
+#: alone costs at least B * (1 + 2**-50) * (1 - 2**-53)**3 > B, one factor
+#: (1 - 2**-53) per rounding (in u, the top and theta*c_n), and the users
+#: before and after it only add. A lone user's root is u itself; with the top
+#: one float past u, Newton, aiming half an ulp past the root, would keep
+#: leaving the bracket for geometric midpoints.
 _BRACKET_TOP = 1.0 + 2.0 ** -50
+
+
+def _bracket(thresholds: list[float], over_gain: list[float],
+             budget: float) -> tuple[float, float]:
+    """The bracket [lo, top) both solvers search: the smallest threshold, which
+    fits, and the top, which never does, ``_waterfill_rows``' bit for bit. The
+    top may overflow to inf, silently in float arithmetic."""
+    lo = min(thresholds)
+    return lo, max(budget / min(over_gain), lo) * _BRACKET_TOP
 
 
 def _float_bits(x: float) -> int:
@@ -340,9 +339,11 @@ def _secant_level(thresholds: list[float], over_gain: list[float], budget: float
 
     S is convex, so the secant lies above it on [lo, hi]: where the secant
     meets the budget, S is at most the budget, up to rounding, and
-    :func:`_assemble` folds the rest into the last user. Unless S(lo) < budget < S(hi) < inf the step takes ``lo``. It runs two
-    walks of the shared recursion and borrows nothing from water-filling, so
-    the two solvers stay independent.
+    :func:`_assemble` folds the rest into the last user. The step takes
+    ``lo`` unless S(lo) < budget < S(hi) < inf: where S(lo) is the budget,
+    S(hi) overflowed, or ``hi`` was clamped to the largest float and fits.
+    It runs two walks of the shared recursion and borrows nothing from
+    water-filling, so the two solvers stay independent.
     """
     s_lo = _equality_walk(thresholds, over_gain, floor=lo, keep=False)[1]
     s_hi = _equality_walk(thresholds, over_gain, floor=hi, keep=False)[1]
@@ -356,10 +357,10 @@ def solve_bisection(scenario: Scenario, budget: float,
     """Max-min SINR via bisection on the candidate minimum ``t``.
 
     Starts from the bracket ``l = min(thresholds)`` (feasible after phase 1)
-    and ``u = max(budget * G_n / N_n)`` (nobody can do better than a lone user
-    with the whole budget; the largest float if that overflows) and runs
-    exactly ceil(log2((u - l)/epsilon)) halvings: feasible midpoints raise
-    ``l``, infeasible ones lower ``u``.
+    and ``u = max(budget / min(N_n/G_n), l) * (1 + 2**-50)`` (just past what a
+    lone user gets from the whole budget, so u never fits; the largest float
+    if that overflows) and runs exactly ceil(log2((u - l)/epsilon)) halvings:
+    feasible midpoints raise ``l``, infeasible ones lower ``u``.
     ``theta_star`` is the certified feasible side ``l``. The powers sit at
     the common level of one secant step through S(l) and S(u)
     (:func:`_secant_level`), with the roundoff-level rest of the budget folded
@@ -370,15 +371,15 @@ def solve_bisection(scenario: Scenario, budget: float,
     return _bisection(*_check_phase2_inputs(scenario, budget, epsilon))
 
 
-def _bisection(thresholds: list[float], over_gain: list[float], budget: float, bound: float,
+def _bisection(thresholds: list[float], over_gain: list[float], budget: float,
                epsilon: float, walk: tuple[list[float], float]) -> MaxMinSolution:
     """:func:`solve_bisection` on checked inputs (:func:`_check_phase2_inputs`).
 
     ``walk``, the walk at the thresholds, is counted and not reused: the
     halvings start from the bracket.
     """
-    lo = min(thresholds)
-    hi = min(max(bound, lo), sys.float_info.max)
+    lo, hi = _bracket(thresholds, over_gain, budget)
+    hi = min(hi, sys.float_info.max)
     width = hi - lo
     if width <= epsilon:
         iterations = 0
@@ -416,12 +417,11 @@ def solve_waterfill(scenario: Scenario, budget: float,
     return _waterfill(*_check_phase2_inputs(scenario, budget, epsilon))
 
 
-def _waterfill(thresholds: list[float], over_gain: list[float], budget: float, bound: float,
+def _waterfill(thresholds: list[float], over_gain: list[float], budget: float,
                epsilon: float, walk: tuple[list[float], float]) -> MaxMinSolution:
     """:func:`solve_waterfill` on checked inputs (:func:`_check_phase2_inputs`);
     ``epsilon`` is unused, and ``walk`` starts the root."""
-    lo = min(thresholds)
-    hi = max(bound, lo) * _BRACKET_TOP
+    lo, hi = _bracket(thresholds, over_gain, budget)
     theta, walks = _newton_root(thresholds, over_gain, budget, lo, hi, walk)
     # S is monotone in floating point, so a threshold fits exactly when it is <= theta.
     flooded = len({t for t in thresholds if t <= theta}) - 1
@@ -439,7 +439,7 @@ def _waterfill_rows(threshold: float, costs: np.ndarray,
     at ``threshold``. Returns theta_star (R,) and the powers
     (R, K), 0 in the padded columns, each row equal to ``solve_waterfill`` on
     its users bit for bit. With one threshold t the only segment is [t, the
-    scalar solver's bracket top), where every user sits at theta, so S(theta)
+    scalar solvers' bracket top), where every user sits at theta, so S(theta)
     is a polynomial in closed form. Its root, found without a walk
     (:func:`_estimate_rows`), is walked once; one Newton step from that walk
     (:func:`_newton_rows`) and the last-fit search then run on all rows at

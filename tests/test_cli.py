@@ -429,7 +429,8 @@ class TestMaxminCommand:
 FLOAT_RANGE_FILES = {
     # P_n*G_n overflows; both users end at theta* ~0.29, -5.3 dB.
     "power-times-gain": "noise_dbm 3111.7\npmax_dbm 3010\nsu 100 -30\nsu 100 -30\n",
-    # P*G and the lone-user bound B*G/N overflow; theta* is 1e10, 100 dB.
+    # P*G and B*G overflow, the lone-user bound B/c = 1e10 does not; theta* is
+    # 1e10, 100 dB.
     "lone-user-100-db": "noise_dbm 3030\npmax_dbm 130\nsu 3000 0\n",
     # The PU's I/g overflows, and p_max caps it.
     "pu-ratio": "noise_dbm -120\npmax_dbm 20\nsu -50 5\npu -300 3000\n",

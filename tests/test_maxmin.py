@@ -265,8 +265,10 @@ class TestSolverProperties:
             scenario, budget = random_admitted_instance(rng)
             eps = float(10 ** rng.uniform(-8, -4))
             sol = solve_bisection(scenario, budget, eps)
+            # The bracket: the smallest threshold, and a few floats past the
+            # cheapest user's lone-user bound B/c_n (or the threshold).
             lo = float(np.min(scenario.su_thresholds))
-            hi = max(float(np.max(budget * scenario.su_gains / scenario.su_noise)), lo)
+            hi = max(budget / float(np.min(scenario.noise_over_gain)), lo) * maxmin._BRACKET_TOP
             width = hi - lo
             expected = 0 if width <= eps else math.ceil(math.log2(width / eps))
             assert sol.iterations == expected
@@ -361,26 +363,32 @@ def _random_instance(rng, levels_db=(0.0, 3.0, 6.0, 10.0, 20.0)) -> tuple[Scenar
     return scenario, required
 
 
-class TestSinrUpperBound:
-    def test_equals_the_array_expression_bitwise(self):
-        # Gains, noise and budget log-uniform over 1e-300..1e300, so many
-        # bounds overflow to inf: each equals numpy's array expression bit
-        # for bit, and none warns.
+class TestBracket:
+    def test_top_equals_the_row_kernels_bitwise(self):
+        # Costs and budgets log-uniform over 1e-300..1e300, so many tops
+        # overflow to inf and some lone-user bounds underflow below the
+        # thresholds: the scalar top equals _waterfill_rows' array expression
+        # bit for bit, and none warns.
         rng = np.random.default_rng(11)
-        overflowed = 0
+        overflowed = floored = 0
         for _ in range(300):
             n = int(rng.integers(1, 31))
-            gains = np.sort(10 ** rng.uniform(-300, 300, n))[::-1]
-            noise = 10 ** rng.uniform(-300, 300, n)
-            budget = float(10 ** rng.uniform(-300, 300))
+            costs = 10 ** rng.uniform(-300, 300, (1, n))
+            thresholds = 10 ** rng.uniform(-2, 3, n)
+            budgets = 10 ** rng.uniform(-300, 300, 1)
+            lo = np.full(1, thresholds.min())
             with np.errstate(all="ignore"):
-                expected = float(np.max(budget * gains / noise))
+                cheapest = np.min(costs, axis=1, initial=math.inf, where=costs > 0.0)
+                expected = float((np.maximum(budgets / cheapest, lo) * maxmin._BRACKET_TOP)[0])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = maxmin._sinr_upper_bound(gains, noise, np.float64(budget))
-            assert got.hex() == expected.hex()
-            overflowed += got == math.inf
-        assert overflowed
+                bottom, top = maxmin._bracket(thresholds.tolist(), costs[0].tolist(),
+                                              float(budgets[0]))
+            assert bottom == lo[0]
+            assert top.hex() == expected.hex()
+            overflowed += top == math.inf
+            floored += top == bottom * maxmin._BRACKET_TOP
+        assert overflowed and floored
 
 
 class TestWaterfillRoot:
@@ -475,8 +483,8 @@ class TestWaterfillRoot:
             for s, need in ((scenario, required),
                             (lone, min_power_for_targets(lone, lone.su_thresholds)[0])):
                 for budget in (need, need * 10 ** rng.uniform(0.0, 3.0)):
-                    top = max(maxmin._sinr_upper_bound(s.su_gains, s.su_noise, budget),
-                              min(s.su_thresholds)) * maxmin._BRACKET_TOP
+                    _, top = maxmin._bracket(s.su_thresholds.tolist(),
+                                             s.noise_over_gain.tolist(), budget)
                     assert not feasible(s, top, budget)
 
     def test_fewer_walks_than_bisection(self, monkeypatch):
@@ -567,9 +575,9 @@ class TestBisectionFinish:
 
     def test_zero_halvings(self, monkeypatch):
         # A tolerance wider than the bracket runs no halving, and the step
-        # spans the whole bracket, from the thresholds to the lone-user bound.
-        # By convexity it still lands where S fits. Past a few users S at the
-        # bound overflows, and the step keeps lo.
+        # spans the whole bracket, from the thresholds to just past the
+        # lone-user bound. By convexity it still lands where S fits. Past a
+        # few users S at the bracket's top overflows, and the step keeps lo.
         rng = np.random.default_rng(22)
         levels = _record_levels(monkeypatch)
         stepped = 0
@@ -593,27 +601,34 @@ class TestBisectionFinish:
                 assert total_power_curve(scenario, hi) == math.inf and level == lo
 
     def test_lone_user_step_is_exact(self, monkeypatch):
-        # S(theta) = theta * N/G is linear, so where the step is taken it lands
-        # on the root: S there is the budget to roundoff. The bound u = B*G/N
-        # often fits by rounding; the bracket's top is then u and the step
-        # keeps lo. Either way the fold ends the user at SINR u.
+        # S(theta) = theta * N/G is linear, so the step lands on the root: S
+        # there is the budget to roundoff. The bracket's top never fits, so
+        # every solve takes the step, and the fold ends the user at SINR
+        # B*G/N, the lone-user bound from the gains and noise.
         rng = np.random.default_rng(23)
         levels = _record_levels(monkeypatch)
-        stepped = 0
         for _ in range(300):
             scenario, _ = _random_instance(rng)
             lone = scenario.prefix(1)
             need = min_power_for_targets(lone, lone.su_thresholds)[0]
             budget = need * 10 ** rng.uniform(0.0, 3.0)
-            sol, (lo, hi, level) = self._solve(lone, budget, levels)
-            bound = maxmin._sinr_upper_bound(lone.su_gains, lone.su_noise, budget)
-            np.testing.assert_allclose(sol.achieved_sinr, [bound], rtol=1e-12)
-            if level > lo:
-                stepped += 1
-                assert total_power_curve(lone, level) == pytest.approx(budget, rel=1e-12)
-            else:
-                assert total_power_curve(lone, hi) <= budget
-        assert stepped > 20
+            sol, (lo, _, level) = self._solve(lone, budget, levels)
+            np.testing.assert_allclose(sol.achieved_sinr, budget * lone.su_gains / lone.su_noise,
+                                       rtol=1e-12)
+            assert level > lo
+            assert total_power_curve(lone, level) == pytest.approx(budget, rel=1e-12)
+
+    def test_bracket_of_a_gain_past_the_float_range(self):
+        # B*G = 1e310 overflows, but the lone-user bound B/c_n = 1e10 does
+        # not: the halvings run over [1, 1e10 * (1 + 2**-50)), about 54 of
+        # them, where a bracket up to the largest float takes over 1,000.
+        scenario = Scenario([1e300], [1e300], [1.0], [], [], 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = run_two_phase(scenario, solver="bisection").maxmin
+        assert sol.theta_star == 1e10
+        _assert_budget_spent(sol.powers, 1e10)
+        assert sol.evaluations <= 60
 
     def test_extreme_inputs(self, monkeypatch):
         # The extreme-input rows of up to three users, each solved with its
@@ -652,7 +667,7 @@ class TestBisectionFinish:
                 sol, _ = self._solve(scenario, budget, levels, epsilon=1e300)
                 if not np.isfinite(sol.achieved_sinr).all():
                     overflowed += 1
-                    bound = maxmin._sinr_upper_bound(scenario.su_gains, scenario.su_noise, budget)
+                    bound = budget / float(np.min(scenario.noise_over_gain))
                     assert bound > sys.float_info.max / 2
                 solved += 1
         assert solved > 100 and overflowed > 0
