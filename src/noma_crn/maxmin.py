@@ -165,7 +165,7 @@ def _fits(thresholds: list[float], over_gain: list[float], budget: float,
 #: (1 - 2**-53) per rounding (in u, the top and theta*c_n), and the users
 #: before and after it only add. A lone user's root is u itself; with the top
 #: one float past u, Newton, aiming half an ulp past the root, would keep
-#: leaving the bracket for geometric midpoints.
+#: leaving the bracket for midpoints.
 _BRACKET_TOP = 1.0 + 2.0 ** -50
 
 
@@ -191,19 +191,21 @@ def _bits_float(bits: int) -> float:
 def _log_slope(thresholds: list[float], theta: float, powers: list[float]) -> float:
     """theta * S'(theta), the right derivative, from the walk's powers at ``theta``.
 
-    Reverse chain rule: the total after user n grows as (1 + lambda_n) per
-    later user, and d(total_n)/d(lambda_n) = P_n / lambda_n, so
-    theta * S' = sum over floored users (threshold <= theta, lambda_n = theta)
-    of P_n * prod_{m>n} (1 + lambda_m). A user whose threshold equals theta
-    rises with theta from there on, so counting it gives the right derivative
-    at that kink.
+    Forward chain rule: the total after user n grows as (1 + lambda_n) times
+    the total before it, and d(total_n)/d(lambda_n) = P_n / lambda_n, so the
+    derivative D_n of the total after user n against log theta is
+    (1 + lambda_n) * D_{n-1}, plus P_n where user n is floored (threshold <=
+    theta, lambda_n = theta), and D_K = theta * S'. D_n sums at most n terms,
+    each at most the total T_n, so D_n <= n * T_n: D overflows only within a
+    factor K of S. A user whose threshold equals theta rises with theta from
+    there on, so counting it gives the right derivative at that kink.
     """
     slope = 0.0
-    growth = 1.0
-    for target, power in zip(reversed(thresholds), reversed(powers)):
+    for target, power in zip(thresholds, powers):
         if target <= theta:
-            slope += power * growth
-        growth *= 1.0 + (target if target > theta else theta)
+            slope = (1.0 + theta) * slope + power
+        else:
+            slope *= 1.0 + target
     return slope
 
 
@@ -220,17 +222,18 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
     root. Each step takes the nearer of the two, aimed half an ulp above the
     budget: where S is flat, many floats give S == budget and the root is
     the last of them. Every probe narrows the bracket [lo, hi]; a step that
-    leaves it (a log step past the float range counts as leaving it), or an
-    S(theta) that overflows, takes the geometric midpoint.
+    leaves it (a log step past the float range counts as leaving it), or a
+    walk whose S(theta) or slope overflowed, takes the bracket's midpoint
+    over float bit patterns, as :func:`_last_fit` bisects: unlike a midpoint
+    of the values, it is finite when ``hi`` is inf.
     """
     theta = lo
     powers, total = walk
     half_ulp = 0.5 * math.ulp(budget)
-    stride = 1
     walks = 0
     for _ in range(100):
-        slope = _log_slope(thresholds, theta, powers)  # inf or nan if S overflowed
-        if 0.0 < slope < math.inf:
+        slope = _log_slope(thresholds, theta, powers)  # inf or nan if it overflowed
+        if 0.0 < slope < math.inf and budget / total > 0.0:  # S finite, B/S no underflow
             try:
                 step = theta * min(math.expm1((math.log(budget / total) + half_ulp / budget)
                                               * (total / slope)),
@@ -240,15 +243,11 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
             # Convergence is tested before the bracket: a last step that rounds
             # onto an end must not restart the search from the far end.
             if abs(step) <= 4e-16 * theta:
-                # Floats per ulp of S: how far the flat run of S == budget reaches.
-                # Grouped so that nothing underflows to a zero divisor.
-                stride = int(min(max(1.0, math.ulp(budget) / slope * (theta / math.ulp(theta))),
-                                 2.0 ** 52))
                 theta += step
                 break
             theta += step
         if not lo < theta < hi:
-            theta = math.sqrt(lo) * math.sqrt(hi)
+            theta = _bits_float((_float_bits(lo) + _float_bits(hi)) // 2)
             if not lo < theta < hi:
                 break
         powers, total = _equality_walk(thresholds, over_gain, floor=theta)
@@ -257,19 +256,19 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
             lo = theta
         else:
             hi = theta
-    theta, probes = _last_fit(thresholds, over_gain, budget, lo, hi, theta, stride)
+    theta, probes = _last_fit(thresholds, over_gain, budget, lo, hi, theta)
     return theta, walks + probes
 
 
 def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
-              lo: float, hi: float, theta: float, stride: int) -> tuple[float, int]:
+              lo: float, hi: float, theta: float) -> tuple[float, int]:
     """Largest float in [lo, hi) that fits, given that lo fits and hi does not,
     and the probes it took.
 
     Probes ``theta``, gallops from it toward the other end of the bracket in
-    strides of ``stride``, 2 * ``stride``, 4 * ``stride``... floats, then
-    bisects the bracket over float bit patterns. S is monotone in floating
-    point too, so the answer does not depend on where the search started.
+    strides of 1, 2, 4... floats, then bisects the bracket over float bit
+    patterns. S is monotone in floating point too, so the answer does not
+    depend on where the search started.
     """
     fit, miss = _float_bits(lo), _float_bits(hi)
     start = min(max(_float_bits(theta), fit), miss)
@@ -281,6 +280,7 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
         else:
             miss = start
     upward = start == fit
+    stride = 1
     while miss - fit > stride:
         probe = fit + stride if upward else miss - stride
         probes += 1
@@ -534,10 +534,10 @@ def _estimate_rows(over_gain, exponents, budgets, lo, hi) -> np.ndarray:
 
 
 def _last_fit_rows(over_gain, budgets, lo, hi, theta) -> np.ndarray:
-    """:func:`_last_fit` masked per row, over int64 float bit patterns, with a
-    first stride of one float: the galloping rows double their strides in
-    lockstep, so one stride serves them all. Every probe lies at or above the
-    bracket's bottom, the rows' threshold, so each row walks at the probe."""
+    """:func:`_last_fit` masked per row, over int64 float bit patterns: the
+    galloping rows double their strides in lockstep, so one stride serves them
+    all. Every probe lies at or above the bracket's bottom, the rows'
+    threshold, so each row walks at the probe."""
 
     def fits(probe, where, fit):
         level = np.where(where, probe, fit).view(np.float64)

@@ -209,19 +209,9 @@ class Scenario:
         """The same instance restricted to the first ``count`` sorted users."""
         if not 0 <= count <= self.n_sus:
             raise ValueError(f"prefix count {count} out of range 0..{self.n_sus}")
-        # Slices of checked read-only arrays need no second validation pass.
-        order = np.argsort(np.argsort(self.order[:count]))
-        order.flags.writeable = False
-        restricted = object.__new__(Scenario)
-        vars(restricted).update(
-            vars(self),
-            su_gains=self.su_gains[:count],
-            su_noise=self.su_noise[:count],
-            su_thresholds=self.su_thresholds[:count],
-            order=order,
-            noise_over_gain=self.noise_over_gain[:count],
-        )
-        return restricted
+        return Scenario(self.su_gains[:count], self.su_noise[:count], self.su_thresholds[:count],
+                        self.pu_gains, self.pu_interference_limits, self.p_max,
+                        np.argsort(np.argsort(self.order[:count])))
 
     def to_original_order(self, values) -> np.ndarray:
         """Scatter per-user ``values`` (sorted order) back to the original ordering."""

@@ -338,13 +338,14 @@ def _lone_user_bound(scenario: Scenario, budget: float) -> float:
 #: S(theta) evaluations allowed per water-filling solve, the threshold check
 #: and the closing allocation included, for budgets with slack: at least a
 #: factor 1 + 1e-12 above S at the thresholds and a fitting float not too
-#: near them (worst seen: 14).
+#: near them (worst seen: 15, on the extreme-input rows with spread thresholds).
 MAX_WALKS_PER_SOLVE = 20
 
 #: The same bound for budgets equal to S at the thresholds or 1e-12 above it.
 #: There the floored users can carry so small a share of S that S moves by
-#: one ulp only every ~1e5 floats, and the last step spends about log2 of that
-#: flat run's width (worst seen: 25 over 2,000 solves).
+#: one ulp only every ~1e5 floats; the last fit gallops across that flat run
+#: from a stride of one float and bisects back, about twice log2 of its width
+#: (worst seen: 16 over 2,000 solves).
 MAX_WALKS_NEAR_ZERO_SLACK = 30
 
 
@@ -446,7 +447,7 @@ class TestWaterfillRoot:
         # The top of the bracket, just past the lone-user bound, is ~1e20 and
         # S there overflows to inf. At -20 dB the first Newton step from the
         # bottom also lands where S overflows, and the root must fall back to
-        # geometric midpoints until S is finite again.
+        # midpoints of the bracket's float bit patterns until S is finite again.
         rng = np.random.default_rng(n)
         gains = np.sort(10 ** rng.uniform(2, 6, n))[::-1]
         thresholds = np.full(n, 10 ** (threshold_db / 10))
@@ -460,7 +461,7 @@ class TestWaterfillRoot:
     def test_wide_threshold_spread(self, monkeypatch):
         # Thresholds from -20 to 30 dB: users at -20 dB can carry so small a
         # share of S that the log-log Newton step overflows math.expm1. Such
-        # a step leaves the bracket, so the geometric midpoint takes over.
+        # a step leaves the bracket, so the bit-pattern midpoint takes over.
         # No walk cap here: these solves can take more walks than the
         # families above.
         rng = np.random.default_rng(5)
@@ -471,6 +472,28 @@ class TestWaterfillRoot:
             base = required * 10 ** rng.uniform(0.0, 1.0)
             for factor in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5, 1e3):
                 self._check_canonical(scenario, base * factor, walks)
+
+    @pytest.mark.parametrize("decades", [0.0, 40.0])
+    def test_extreme_inputs_within_the_walk_cap(self, decades, monkeypatch):
+        # The extreme-input rows, at the row's threshold (0 decades) or with
+        # per-user thresholds spread up to 40 decades below it: brackets whose
+        # top overflows to inf, and probes whose S(theta) or slope overflows.
+        # Left out are rows whose budget is within a factor k of the largest
+        # float, where the slope overflows near the root, and lone users whose
+        # SINR overflows, whose theta* is the largest float.
+        rng = np.random.default_rng(37)
+        walks = _record_walks(monkeypatch)
+        checked = 0
+        for threshold, gains, noise, budgets in _extreme_blocks():
+            k = gains.shape[1]
+            for row_gains, budget in zip(gains, budgets.tolist()):
+                thresholds = threshold * 10 ** rng.uniform(-decades, 0.0, k)
+                walks.clear()
+                sol = solve_waterfill(Scenario(row_gains, noise, thresholds, [], [], 1.0), budget)
+                if k * budget < sys.float_info.max and np.isfinite(sol.achieved_sinr).all():
+                    assert sol.evaluations == len(walks) <= MAX_WALKS_PER_SOLVE
+                    checked += 1
+        assert checked > 800
 
     def test_bracket_top_never_fits(self):
         # The search may end on the float just below the bracket top, so the
