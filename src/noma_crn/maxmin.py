@@ -152,12 +152,6 @@ def _check_phase2_inputs(scenario: Scenario, budget: float, epsilon: float) -> t
     return thresholds, over_gain, float(budget), epsilon, walk
 
 
-def _fits(thresholds: list[float], over_gain: list[float], budget: float,
-          theta: float) -> bool:
-    """S(theta) <= budget: the budgeted walk at floor theta reaches the last user."""
-    return _equality_walk(thresholds, over_gain, budget, theta, keep=False)[0]
-
-
 #: Phase 2's bracket ends this factor past max(lone-user bound, smallest
 #: threshold), a few floats out. The bound u = B/c_n of the cheapest user n
 #: may itself fit; the top never does: at theta >= u * _BRACKET_TOP user n
@@ -221,11 +215,12 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
     with the right derivative as slope, therefore never lands below the
     root. Each step takes the nearer of the two, aimed half an ulp above the
     budget: where S is flat, many floats give S == budget and the root is
-    the last of them. Every probe narrows the bracket [lo, hi]; a step that
-    leaves it (a log step past the float range counts as leaving it), or a
-    walk whose S(theta) or slope overflowed, takes the bracket's midpoint
-    over float bit patterns, as :func:`_last_fit` bisects: unlike a midpoint
-    of the values, it is finite when ``hi`` is inf.
+    the last of them. A step past the float range lands on the largest
+    float, so under an inf ``hi`` a lone user whose bound B/c overflows
+    probes it at once. Every probe narrows the bracket [lo, hi]; a step that
+    leaves it, or a walk whose S(theta) or slope overflowed, takes the
+    bracket's midpoint over float bit patterns, as :func:`_last_fit` bisects:
+    unlike a midpoint of the values, it is finite when ``hi`` is inf.
     """
     theta = lo
     powers, total = walk
@@ -245,7 +240,7 @@ def _newton_root(thresholds: list[float], over_gain: list[float], budget: float,
             if abs(step) <= 4e-16 * theta:
                 theta += step
                 break
-            theta += step
+            theta = min(theta + step, sys.float_info.max)
         if not lo < theta < hi:
             theta = _bits_float((_float_bits(lo) + _float_bits(hi)) // 2)
             if not lo < theta < hi:
@@ -275,7 +270,7 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     probes = 0
     if fit < start < miss:
         probes += 1
-        if _fits(thresholds, over_gain, budget, _bits_float(start)):
+        if _equality_walk(thresholds, over_gain, budget, _bits_float(start), False)[0]:
             fit = start
         else:
             miss = start
@@ -284,7 +279,7 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     while miss - fit > stride:
         probe = fit + stride if upward else miss - stride
         probes += 1
-        if _fits(thresholds, over_gain, budget, _bits_float(probe)):
+        if _equality_walk(thresholds, over_gain, budget, _bits_float(probe), False)[0]:
             fit = probe
             if not upward:
                 break
@@ -296,7 +291,7 @@ def _last_fit(thresholds: list[float], over_gain: list[float], budget: float,
     while miss - fit > 1:
         mid = (fit + miss) // 2
         probes += 1
-        if _fits(thresholds, over_gain, budget, _bits_float(mid)):
+        if _equality_walk(thresholds, over_gain, budget, _bits_float(mid), False)[0]:
             fit = mid
         else:
             miss = mid
@@ -389,7 +384,7 @@ def _bisection(thresholds: list[float], over_gain: list[float], budget: float,
         iterations = math.ceil(math.log2(width) - math.log2(epsilon))
     for _ in range(iterations):
         t = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
-        if _fits(thresholds, over_gain, budget, t):
+        if _equality_walk(thresholds, over_gain, budget, t, False)[0]:
             lo = t
         else:
             hi = t

@@ -48,21 +48,24 @@ def _equality_walk(targets, costs, budget: float = math.inf, floor: float = 0.0,
 
     P_n = lambda_n * total + lambda_n * c_n in order, with lambda_n = max(target_n,
     floor), c_n = N_n/G_n and ``total`` the power before user n. Stops before the
-    first user with ``total + P_n > budget``; returns the walked powers and total.
-    Every P_n >= 0, so the walk reaches the end exactly when the full total fits.
-    With ``keep`` false no list is built, and the first item is instead whether
+    first user with ``total + P_n > budget``; that sum, one add per user, is
+    also the next total. Returns the walked powers and total. Every P_n >= 0,
+    so the walk reaches the end exactly when the full total fits. With
+    ``keep`` false no list is built, and the first item is instead whether
     the walk reached the end: the fit test of a phase-2 probe.
     """
     powers = []
     total = 0.0
     for target, cost in zip(targets, costs):
-        lam = target if target > floor else floor
-        power = lam * total + lam * cost
-        if total + power > budget:
+        if target < floor:
+            target = floor
+        power = target * total + target * cost
+        reached = total + power
+        if reached > budget:
             return (powers if keep else False), total
         if keep:
             powers.append(power)
-        total += power
+        total = reached
     return (powers if keep else True), total
 
 
@@ -114,7 +117,8 @@ def _positive_rows(*arrays) -> np.ndarray:
 
 
 def _budgets(pu_gains, pu_limits, p_max: float):
-    """min(min_m I_m/g_m, p_max) over the last axis; p_max alone with no PUs."""
+    """:func:`power_budget` on every row at once: min(min_m I_m/g_m, p_max) over
+    the last axis, p_max alone with no PUs, bit for bit."""
     return np.minimum(np.min(pu_limits / pu_gains, axis=-1, initial=math.inf), p_max)
 
 
@@ -281,13 +285,17 @@ def compute_sinr(scenario: Scenario, powers) -> np.ndarray:
 def power_budget(scenario: Scenario) -> float:
     """Total power available to the secondary system (watts).
 
-    The tightest PU constraint min_m(I_m/g_m) capped at ``p_max``; with no PUs
-    the cap alone applies.
+    B = min(p_max, min_m I_m/g_m): the tightest PU constraint capped at
+    ``p_max``; with no PUs the cap alone applies. :func:`_budgets` is the row
+    form the sweeps use. In float arithmetic a ratio past the float range is
+    inf, with no warning, and ``p_max`` caps it.
     """
-    if scenario.n_pus == 0:
-        return scenario.p_max
-    with np.errstate(over="ignore"):  # p_max caps a ratio past the float range
-        return float(_budgets(scenario.pu_gains, scenario.pu_interference_limits, scenario.p_max))
+    budget = scenario.p_max
+    for limit, gain in zip(scenario.pu_interference_limits.tolist(), scenario.pu_gains.tolist()):
+        ratio = limit / gain
+        if ratio < budget:
+            budget = ratio
+    return budget
 
 
 def read_scenario(path: str) -> Scenario:

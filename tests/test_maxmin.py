@@ -338,7 +338,7 @@ def _lone_user_bound(scenario: Scenario, budget: float) -> float:
 #: S(theta) evaluations allowed per water-filling solve, the threshold check
 #: and the closing allocation included, for budgets with slack: at least a
 #: factor 1 + 1e-12 above S at the thresholds and a fitting float not too
-#: near them (worst seen: 15, on the extreme-input rows with spread thresholds).
+#: near them (worst seen: 16, on the extreme-input rows with spread thresholds).
 MAX_WALKS_PER_SOLVE = 20
 
 #: The same bound for budgets equal to S at the thresholds or 1e-12 above it.
@@ -478,9 +478,9 @@ class TestWaterfillRoot:
         # The extreme-input rows, at the row's threshold (0 decades) or with
         # per-user thresholds spread up to 40 decades below it: brackets whose
         # top overflows to inf, and probes whose S(theta) or slope overflows.
-        # Left out are rows whose budget is within a factor k of the largest
-        # float, where the slope overflows near the root, and lone users whose
-        # SINR overflows, whose theta* is the largest float.
+        # Lone users whose SINR overflows, whose theta* is the largest float,
+        # are in. Left out are rows whose budget is within a factor k of the
+        # largest float, where the slope overflows near the root.
         rng = np.random.default_rng(37)
         walks = _record_walks(monkeypatch)
         checked = 0
@@ -490,7 +490,7 @@ class TestWaterfillRoot:
                 thresholds = threshold * 10 ** rng.uniform(-decades, 0.0, k)
                 walks.clear()
                 sol = solve_waterfill(Scenario(row_gains, noise, thresholds, [], [], 1.0), budget)
-                if k * budget < sys.float_info.max and np.isfinite(sol.achieved_sinr).all():
+                if k * budget < sys.float_info.max:
                     assert sol.evaluations == len(walks) <= MAX_WALKS_PER_SOLVE
                     checked += 1
         assert checked > 800

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noma_crn import Scenario, compute_sinr, power_budget, read_scenario, sort_users
+from noma_crn.model import _budgets
 
 positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -174,6 +177,35 @@ class TestPowerBudget:
     def test_cap_binds_when_pus_are_loose(self):
         s = Scenario([1.0], [1.0], [1.0], [1e-3], [1.0], 0.1)
         assert power_budget(s) == 0.1
+
+    def test_equals_the_row_form_bitwise(self):
+        # power_budget is _budgets' formula in float arithmetic: equal bit for
+        # bit, a Python float, and silent where a ratio overflows to inf. Gains
+        # and limits span 1e-300..1e300, a quarter of the gains are subnormal,
+        # and every third p_max is tied with one of the ratios.
+        rng = np.random.default_rng(26)
+        overflowed = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(5000):
+                m = int(rng.integers(0, 4))
+                gains = 10.0 ** rng.uniform(-300.0, 300.0, m)
+                gains = np.where(rng.random(m) < 0.25, 5e-324 * rng.integers(1, 2**40, m), gains)
+                limits = 10.0 ** rng.uniform(-300.0, 300.0, m)
+                with np.errstate(over="ignore", under="ignore"):
+                    ratios = limits / gains
+                p_max = 10.0 ** rng.uniform(-300.0, 300.0)
+                tied = ratios[np.isfinite(ratios) & (ratios > 0.0)]
+                if tied.size and rng.random() < 1 / 3:
+                    p_max = float(rng.choice(tied))
+                s = Scenario([1.0], [1.0], [1.0], gains, limits, p_max)
+                with np.errstate(over="ignore"):
+                    expected = _budgets(s.pu_gains, s.pu_interference_limits, s.p_max)
+                budget = power_budget(s)
+                assert type(budget) is float
+                assert budget.hex() == float(expected).hex()
+                overflowed += bool(np.isinf(ratios).any())
+        assert overflowed > 500
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40)

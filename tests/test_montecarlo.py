@@ -443,7 +443,7 @@ class TestRunBatchedKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("the sweeps solve phase 2 as blocks of rows")
 
-        for name in ("solve_waterfill", "_newton_root", "_last_fit", "_fits"):
+        for name in ("solve_waterfill", "_newton_root", "_last_fit", "_equality_walk"):
             monkeypatch.setattr(maxmin, name, refuse)
         stats = run_fig3(small_model(m=1), [5.0, 20.0], [1, 5, 10], runs=30, master_seed=3)
         assert all(s.runs_with_admission for s in stats)
